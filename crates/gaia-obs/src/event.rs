@@ -13,7 +13,7 @@
 //! Rust's shortest round-trip formatting, so
 //! [`Event::from_json_line`]`(e.to_json_line())` reproduces `e` exactly.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use crate::json::{self, Value};
 
@@ -436,15 +436,23 @@ impl Event {
     /// `{"ev":"segment_started","t":360,"job":0,"seg":0,"pool":"reserved"}`.
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(96);
-        s.push_str("{\"ev\":\"");
-        s.push_str(self.name());
-        s.push('"');
+        self.write_json_line(&mut s);
+        s
+    }
+
+    /// Append [`Event::to_json_line`]'s bytes to `out`, formatting
+    /// numbers in place, so a caller that reuses one buffer serializes
+    /// without allocating once the buffer has grown to fit.
+    pub fn write_json_line(&self, out: &mut String) {
+        out.push_str("{\"ev\":\"");
+        out.push_str(self.name());
+        out.push('"');
         match self {
             Event::JobSubmitted { t, job, cpus, len } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "cpus", *cpus);
-                push_u64(&mut s, "len", *len);
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
+                push_u64(out, "cpus", *cpus);
+                push_u64(out, "len", *len);
             }
             Event::PlanChosen {
                 t,
@@ -457,21 +465,21 @@ impl Event {
                 est_carbon_g,
                 est_cost,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_str(&mut s, "mode", mode.as_str());
-                push_u64(&mut s, "start", *start);
-                push_u64(&mut s, "segs", u64::from(*segs));
-                push_bool(&mut s, "opportunistic", *opportunistic);
-                push_bool(&mut s, "spot", *spot);
-                push_f64(&mut s, "est_carbon_g", *est_carbon_g);
-                push_f64(&mut s, "est_cost", *est_cost);
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
+                push_str(out, "mode", mode.as_str());
+                push_u64(out, "start", *start);
+                push_u64(out, "segs", u64::from(*segs));
+                push_bool(out, "opportunistic", *opportunistic);
+                push_bool(out, "spot", *spot);
+                push_f64(out, "est_carbon_g", *est_carbon_g);
+                push_f64(out, "est_cost", *est_cost);
             }
             Event::SegmentStarted { t, job, seg, pool } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "seg", u64::from(*seg));
-                push_str(&mut s, "pool", pool.as_str());
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
+                push_u64(out, "seg", u64::from(*seg));
+                push_str(out, "pool", pool.as_str());
             }
             Event::SegmentFinished {
                 t,
@@ -480,11 +488,11 @@ impl Event {
                 pool,
                 useful,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "seg", u64::from(*seg));
-                push_str(&mut s, "pool", pool.as_str());
-                push_bool(&mut s, "useful", *useful);
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
+                push_u64(out, "seg", u64::from(*seg));
+                push_str(out, "pool", pool.as_str());
+                push_bool(out, "useful", *useful);
             }
             Event::WidthChanged {
                 t,
@@ -493,15 +501,15 @@ impl Event {
                 width,
                 prev,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "seg", u64::from(*seg));
-                push_u64(&mut s, "width", *width);
-                push_u64(&mut s, "prev", *prev);
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
+                push_u64(out, "seg", u64::from(*seg));
+                push_u64(out, "width", *width);
+                push_u64(out, "prev", *prev);
             }
             Event::SpotEvicted { t, job } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
             }
             Event::JobCompleted {
                 t,
@@ -509,14 +517,14 @@ impl Event {
                 wait,
                 stretch,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "wait", *wait);
-                push_f64(&mut s, "stretch", *stretch);
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
+                push_u64(out, "wait", *wait);
+                push_f64(out, "stretch", *stretch);
             }
             Event::CellStarted { idx, key } => {
-                push_u64(&mut s, "idx", *idx);
-                push_str(&mut s, "key", key);
+                push_u64(out, "idx", *idx);
+                push_str(out, "key", key);
             }
             Event::CellFinished {
                 idx,
@@ -525,11 +533,11 @@ impl Event {
                 queue_wait_s,
                 exec_s,
             } => {
-                push_u64(&mut s, "idx", *idx);
-                push_str(&mut s, "key", key);
-                push_str(&mut s, "status", status);
-                push_f64(&mut s, "queue_wait_s", *queue_wait_s);
-                push_f64(&mut s, "exec_s", *exec_s);
+                push_u64(out, "idx", *idx);
+                push_str(out, "key", key);
+                push_str(out, "status", status);
+                push_f64(out, "queue_wait_s", *queue_wait_s);
+                push_f64(out, "exec_s", *exec_s);
             }
             Event::FaultInjected {
                 t,
@@ -538,15 +546,15 @@ impl Event {
                 end,
                 magnitude,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_str(&mut s, "kind", kind);
-                push_u64(&mut s, "start", *start);
-                push_u64(&mut s, "end", *end);
-                push_f64(&mut s, "magnitude", *magnitude);
+                push_u64(out, "t", *t);
+                push_str(out, "kind", kind);
+                push_u64(out, "start", *start);
+                push_u64(out, "end", *end);
+                push_f64(out, "magnitude", *magnitude);
             }
             Event::DegradedModeEntered { t, until } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "until", *until);
+                push_u64(out, "t", *t);
+                push_u64(out, "until", *until);
             }
             Event::CellRetried {
                 idx,
@@ -554,27 +562,27 @@ impl Event {
                 attempt,
                 error,
             } => {
-                push_u64(&mut s, "idx", *idx);
-                push_str(&mut s, "key", key);
-                push_u64(&mut s, "attempt", *attempt);
-                push_str(&mut s, "error", error);
+                push_u64(out, "idx", *idx);
+                push_str(out, "key", key);
+                push_u64(out, "attempt", *attempt);
+                push_str(out, "error", error);
             }
             Event::CacheHit { kind, key } => {
-                push_str(&mut s, "kind", kind.as_str());
-                push_str(&mut s, "key", key);
+                push_str(out, "kind", kind.as_str());
+                push_str(out, "key", key);
             }
             Event::CacheMiss { kind, key } => {
-                push_str(&mut s, "kind", kind.as_str());
-                push_str(&mut s, "key", key);
+                push_str(out, "kind", kind.as_str());
+                push_str(out, "key", key);
             }
             Event::CachePersist { kind, key } => {
-                push_str(&mut s, "kind", kind.as_str());
-                push_str(&mut s, "key", key);
+                push_str(out, "kind", kind.as_str());
+                push_str(out, "key", key);
             }
             Event::ShardStarted { shard, of, cells } => {
-                push_u64(&mut s, "shard", *shard);
-                push_u64(&mut s, "of", *of);
-                push_u64(&mut s, "cells", *cells);
+                push_u64(out, "shard", *shard);
+                push_u64(out, "of", *of);
+                push_u64(out, "cells", *cells);
             }
             Event::ShardFinished {
                 shard,
@@ -582,29 +590,28 @@ impl Event {
                 completed,
                 failed,
             } => {
-                push_u64(&mut s, "shard", *shard);
-                push_u64(&mut s, "of", *of);
-                push_u64(&mut s, "completed", *completed);
-                push_u64(&mut s, "failed", *failed);
+                push_u64(out, "shard", *shard);
+                push_u64(out, "of", *of);
+                push_u64(out, "completed", *completed);
+                push_u64(out, "failed", *failed);
             }
             Event::JobAccepted { t, job, tenant } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_str(&mut s, "tenant", tenant);
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
+                push_str(out, "tenant", tenant);
             }
             Event::Replan { t, job, queued } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "queued", *queued);
+                push_u64(out, "t", *t);
+                push_u64(out, "job", *job);
+                push_u64(out, "queued", *queued);
             }
             Event::SnapshotWritten { t, seq, bytes } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "seq", *seq);
-                push_u64(&mut s, "bytes", *bytes);
+                push_u64(out, "t", *t);
+                push_u64(out, "seq", *seq);
+                push_u64(out, "bytes", *bytes);
             }
         }
-        s.push('}');
-        s
+        out.push('}');
     }
 
     /// Parse one JSONL line produced by [`Event::to_json_line`].
@@ -747,9 +754,21 @@ fn push_key(s: &mut String, key: &str) {
     s.push_str("\":");
 }
 
-fn push_u64(s: &mut String, key: &str, v: u64) {
+fn push_u64(s: &mut String, key: &str, mut v: u64) {
     push_key(s, key);
-    s.push_str(&v.to_string());
+    // Decimal digits right to left into a stack buffer: the same bytes
+    // as `Display`, without the formatter machinery.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 fn push_bool(s: &mut String, key: &str, v: bool) {
@@ -761,10 +780,11 @@ fn push_f64(s: &mut String, key: &str, v: f64) {
     push_key(s, key);
     if v.is_finite() {
         // Shortest representation that round-trips through f64 parsing,
-        // so a parse-and-reserialize cycle is byte-stable.
-        s.push_str(&format!("{v}"));
-        // `format!` omits the ".0" for integral floats; that is fine for
-        // JSON (still a number) and stable, so leave it as-is.
+        // so a parse-and-reserialize cycle is byte-stable. `Display`
+        // omits the ".0" for integral floats; that is fine for JSON
+        // (still a number) and stable, so leave it as-is. Writing into a
+        // `String` cannot fail.
+        let _ = write!(s, "{v}");
     } else {
         s.push_str("null");
     }
@@ -781,7 +801,7 @@ fn push_str(s: &mut String, key: &str, v: &str) {
             '\r' => s.push_str("\\r"),
             '\t' => s.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(s, "\\u{:04x}", c as u32);
             }
             c => s.push(c),
         }
@@ -949,6 +969,127 @@ mod tests {
             assert_eq!(back, ev, "line: {line}");
             // Re-serialization is byte-stable.
             assert_eq!(back.to_json_line(), line);
+        }
+    }
+
+    /// Every variant, with the awkward values: integral, negative, NaN
+    /// and infinite floats, and strings needing every escape class.
+    fn awkward_samples() -> Vec<Event> {
+        let mut events = samples();
+        events.extend([
+            Event::PlanChosen {
+                t: u64::MAX,
+                job: 0,
+                mode: PlanMode::Elastic,
+                start: 7,
+                segs: u32::MAX,
+                opportunistic: false,
+                spot: true,
+                est_carbon_g: 1e21,
+                est_cost: -0.5,
+            },
+            Event::PlanChosen {
+                t: 1,
+                job: 2,
+                mode: PlanMode::Once,
+                start: 1,
+                segs: 1,
+                opportunistic: false,
+                spot: false,
+                est_carbon_g: f64::NAN,
+                est_cost: f64::NEG_INFINITY,
+            },
+            Event::WidthChanged {
+                t: 60,
+                job: 5,
+                seg: 1,
+                width: 4,
+                prev: 2,
+            },
+            Event::JobCompleted {
+                t: 9,
+                job: 9,
+                wait: 0,
+                stretch: 3.0,
+            },
+            Event::JobCompleted {
+                t: 9,
+                job: 9,
+                wait: 0,
+                stretch: f64::INFINITY,
+            },
+            Event::CellFinished {
+                idx: 0,
+                key: "quote\" backslash\\ newline\n".into(),
+                status: "bell\u{7} nul\u{0} esc\u{1b} cr\r tab\t é".into(),
+                queue_wait_s: -0.0,
+                exec_s: 1.5e-7,
+            },
+            Event::FaultInjected {
+                t: 0,
+                kind: "\u{1f}".into(),
+                start: 0,
+                end: 0,
+                magnitude: -2.0,
+            },
+        ]);
+        events
+    }
+
+    #[test]
+    fn writing_into_a_dirty_buffer_appends_exactly_the_line() {
+        let mut buf = String::from("stale bytes \u{1} from an earlier event\n");
+        for ev in awkward_samples() {
+            let line = ev.to_json_line();
+            let prefix = buf.clone();
+            ev.write_json_line(&mut buf);
+            assert_eq!(&buf[..prefix.len()], prefix, "the existing bytes are kept");
+            assert_eq!(&buf[prefix.len()..], line);
+            // Reused the way `JsonlSink` reuses its line buffer.
+            buf.clear();
+            ev.write_json_line(&mut buf);
+            assert_eq!(buf, line);
+            buf.push_str(", dirty tail");
+        }
+    }
+
+    #[test]
+    fn awkward_values_serialize_as_documented() {
+        let lines: Vec<String> = awkward_samples()[samples().len()..]
+            .iter()
+            .map(Event::to_json_line)
+            .collect();
+        assert_eq!(
+            lines[0],
+            format!(
+                r#"{{"ev":"plan_chosen","t":{},"job":0,"mode":"elastic","start":7,"segs":{},"opportunistic":false,"spot":true,"est_carbon_g":1000000000000000000000,"est_cost":-0.5}}"#,
+                u64::MAX,
+                u32::MAX
+            )
+        );
+        assert!(
+            lines[1].ends_with(r#""est_carbon_g":null,"est_cost":null}"#),
+            "{}",
+            lines[1]
+        );
+        assert_eq!(
+            lines[2],
+            r#"{"ev":"width_changed","t":60,"job":5,"seg":1,"width":4,"prev":2}"#
+        );
+        assert!(lines[3].ends_with(r#""stretch":3}"#), "{}", lines[3]);
+        assert!(lines[4].ends_with(r#""stretch":null}"#), "{}", lines[4]);
+        assert_eq!(
+            lines[5],
+            r#"{"ev":"cell_finished","idx":0,"key":"quote\" backslash\\ newline\n","status":"bell\u0007 nul\u0000 esc\u001b cr\r tab\t é","queue_wait_s":-0,"exec_s":0.00000015}"#
+        );
+        assert_eq!(
+            lines[6],
+            r#"{"ev":"fault_injected","t":0,"kind":"\u001f","start":0,"end":0,"magnitude":-2}"#
+        );
+        // Every finite value and every string survives the round trip.
+        for line in [&lines[0], &lines[2], &lines[5], &lines[6]] {
+            let back = Event::from_json_line(line).expect(line);
+            assert_eq!(&back.to_json_line(), line);
         }
     }
 

@@ -132,12 +132,17 @@ impl Sink for CountingSink {
 
 /// Writes one JSON object per line to a [`Write`] destination.
 ///
+/// Each event is serialized with [`Event::write_json_line`] into one
+/// line buffer the sink keeps and clears per event, so steady-state
+/// emission allocates nothing.
+///
 /// I/O errors are sticky: the first error is stored and later emits are
 /// dropped, so the hot path never panics. Call [`JsonlSink::finish`] to
 /// flush and surface any stored error.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
+    line: String,
     written: u64,
     error: Option<io::Error>,
 }
@@ -148,6 +153,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         Self {
             writer,
+            line: String::with_capacity(128),
             written: 0,
             error: None,
         }
@@ -173,9 +179,10 @@ impl<W: Write> Sink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let mut line = event.to_json_line();
-        line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
+        self.line.clear();
+        event.write_json_line(&mut self.line);
+        self.line.push('\n');
+        match self.writer.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,
             Err(err) => self.error = Some(err),
         }

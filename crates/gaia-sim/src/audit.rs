@@ -18,7 +18,7 @@ use gaia_fault::FaultSchedule;
 use gaia_time::SimTime;
 use gaia_workload::JobId;
 
-use crate::account::{segment_carbon, segment_cost, ClusterTotals};
+use crate::account::{segment_carbon, segment_cost, ClusterTotals, JobOutcome};
 use crate::config::{CapacityCap, ClusterConfig};
 use crate::plan::PurchaseOption;
 use crate::report::SimReport;
@@ -107,12 +107,29 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 + 1e-9 * b.abs()
 }
 
+/// Reserved occupancy at one segment-boundary instant, as the
+/// work-conservation check reads it.
+#[derive(Debug, Clone, Copy)]
+struct ReservedStep {
+    t: SimTime,
+    /// CPUs busy at `t` with closed ends: every segment with
+    /// `start <= t`, minus those with `end < t`.
+    closed: u64,
+    /// CPUs busy just after `t`: segments ending at `t` have left.
+    after: u64,
+}
+
 struct Auditor<'a> {
     report: &'a SimReport,
     config: &'a ClusterConfig,
     carbon: &'a CarbonTrace,
     faults: Option<&'a FaultSchedule>,
     out: AuditReport,
+    /// Time-sorted reserved occupancy, one entry per distinct boundary
+    /// instant. Built by the occupancy sweep, read by the
+    /// work-conservation check, so the reserved boundaries are sorted
+    /// once per audit.
+    reserved_steps: Vec<ReservedStep>,
 }
 
 /// Audits a completed run against `config` and the true carbon trace.
@@ -168,13 +185,7 @@ pub fn audit_report_faulted(
     carbon: &CarbonTrace,
     faults: Option<&FaultSchedule>,
 ) -> AuditReport {
-    let mut auditor = Auditor {
-        report,
-        config,
-        carbon,
-        faults: faults.filter(|f| !f.is_empty()),
-        out: AuditReport::default(),
-    };
+    let mut auditor = Auditor::new(report, config, carbon, faults);
     auditor.check_segment_coverage();
     auditor.check_occupancy();
     auditor.check_accounting();
@@ -184,7 +195,23 @@ pub fn audit_report_faulted(
     auditor.out
 }
 
-impl Auditor<'_> {
+impl<'a> Auditor<'a> {
+    fn new(
+        report: &'a SimReport,
+        config: &'a ClusterConfig,
+        carbon: &'a CarbonTrace,
+        faults: Option<&'a FaultSchedule>,
+    ) -> Self {
+        Auditor {
+            report,
+            config,
+            carbon,
+            faults: faults.filter(|f| !f.is_empty()),
+            out: AuditReport::default(),
+            reserved_steps: Vec::new(),
+        }
+    }
+
     fn violation(&mut self, invariant: AuditInvariant, job: Option<JobId>, detail: String) {
         self.out.violations.push(AuditViolation {
             invariant,
@@ -206,7 +233,10 @@ impl Auditor<'_> {
 
     fn check_segment_coverage(&mut self) {
         let strict = self.strict_segments();
-        for outcome in &self.report.jobs {
+        let report = self.report;
+        // One scratch buffer for every job's span sort.
+        let mut spans: Vec<(SimTime, SimTime)> = Vec::new();
+        for outcome in &report.jobs {
             self.tally();
             // Elastic jobs are covered by *work*, not wall time: each
             // slice completes `work_milli` milli-minutes of serial work,
@@ -222,21 +252,7 @@ impl Auditor<'_> {
                         format!("useful elastic work {work} milli-minutes, job needs {needed}"),
                     );
                 }
-                let mut spans: Vec<(SimTime, SimTime)> =
-                    outcome.segments.iter().map(|s| (s.start, s.end)).collect();
-                spans.sort();
-                for pair in spans.windows(2) {
-                    if pair[1].0 < pair[0].1 {
-                        self.violation(
-                            AuditInvariant::SegmentCoverage,
-                            Some(outcome.job.id),
-                            format!(
-                                "segment starting {} overlaps segment ending {}",
-                                pair[1].0, pair[0].1
-                            ),
-                        );
-                    }
-                }
+                self.check_overlaps(outcome, &mut spans);
             } else if strict {
                 let useful: gaia_time::Minutes = outcome
                     .segments
@@ -254,21 +270,7 @@ impl Auditor<'_> {
                         ),
                     );
                 }
-                let mut spans: Vec<(SimTime, SimTime)> =
-                    outcome.segments.iter().map(|s| (s.start, s.end)).collect();
-                spans.sort();
-                for pair in spans.windows(2) {
-                    if pair[1].0 < pair[0].1 {
-                        self.violation(
-                            AuditInvariant::SegmentCoverage,
-                            Some(outcome.job.id),
-                            format!(
-                                "segment starting {} overlaps segment ending {}",
-                                pair[1].0, pair[0].1
-                            ),
-                        );
-                    }
-                }
+                self.check_overlaps(outcome, &mut spans);
             } else if outcome.executed() < outcome.job.length {
                 self.violation(
                     AuditInvariant::SegmentCoverage,
@@ -298,28 +300,70 @@ impl Auditor<'_> {
         }
     }
 
+    /// Flags every pair of a job's segments that overlap in time,
+    /// sorting the spans in `spans` (a buffer reused across jobs).
+    fn check_overlaps(&mut self, outcome: &JobOutcome, spans: &mut Vec<(SimTime, SimTime)>) {
+        spans.clear();
+        spans.extend(outcome.segments.iter().map(|s| (s.start, s.end)));
+        spans.sort_unstable();
+        for pair in spans.windows(2) {
+            if pair[1].0 < pair[0].1 {
+                self.violation(
+                    AuditInvariant::SegmentCoverage,
+                    Some(outcome.job.id),
+                    format!(
+                        "segment starting {} overlaps segment ending {}",
+                        pair[1].0, pair[0].1
+                    ),
+                );
+            }
+        }
+    }
+
+    /// Sweeps the reserved segment boundaries in time order, checking
+    /// the occupancy after each instant against capacity, and records
+    /// the work-conservation reading of the same sweep in
+    /// `reserved_steps`.
     fn sweep_reserved(&mut self) {
         let capacity = self.config.reserved_cpus as i64;
-        // (time, delta) with releases sorted before acquisitions.
-        let mut events: Vec<(SimTime, i64)> = Vec::new();
+        // (time, signed CPUs, well-formed): `+cpus` at a segment's start,
+        // `-cpus` at its end. Only the sum over an instant matters, so
+        // the order within one instant is free.
+        let mut edges: Vec<(SimTime, i64, bool)> = Vec::new();
         for outcome in &self.report.jobs {
             for segment in &outcome.segments {
                 if segment.option == PurchaseOption::Reserved {
                     let cpus = segment.cpus_used(outcome.job.cpus) as i64;
-                    events.push((segment.start, cpus));
-                    events.push((segment.end, -cpus));
+                    let ordered = segment.start <= segment.end;
+                    edges.push((segment.start, cpus, ordered));
+                    edges.push((segment.end, -cpus, ordered));
                 }
             }
         }
-        events.sort();
+        edges.sort_unstable_by_key(|edge| edge.0);
+        let mut steps = Vec::new();
+        // `busy` counts every reserved segment; `held` only well-formed
+        // ones (`start <= end`), since a segment ending before it starts
+        // never covers an instant under the closed-end reading.
         let mut busy = 0i64;
-        let mut i = 0;
-        while i < events.len() {
-            let t = events[i].0;
-            while i < events.len() && events[i].0 == t {
-                busy += events[i].1;
-                i += 1;
+        let mut held = 0i64;
+        for group in edges.chunk_by(|a, b| a.0 == b.0) {
+            let t = group[0].0;
+            let mut starting = 0i64;
+            let mut net = 0i64;
+            for &(_, delta, ordered) in group {
+                busy += delta;
+                if ordered {
+                    net += delta;
+                    starting += delta.max(0);
+                }
             }
+            steps.push(ReservedStep {
+                t,
+                closed: (held + starting) as u64,
+                after: (held + net) as u64,
+            });
+            held += net;
             if busy > capacity {
                 self.violation(
                     AuditInvariant::Occupancy,
@@ -328,12 +372,24 @@ impl Auditor<'_> {
                 );
             }
         }
+        self.reserved_steps = steps;
+    }
+
+    /// Reserved CPUs busy at `t` with closed ends, read off the sweep.
+    fn reserved_busy_at(&self, t: SimTime) -> u64 {
+        let i = self.reserved_steps.partition_point(|step| step.t <= t);
+        match i.checked_sub(1).map(|i| self.reserved_steps[i]) {
+            None => 0,
+            Some(step) if step.t == t => step.closed,
+            Some(step) => step.after,
+        }
     }
 
     fn sweep_elastic(&mut self, cap: u32) {
-        // (time, is_start, job index, cpus) — ends sort before starts
-        // at ties. Elastic slices occupy `width × cpus`, so the CPU
-        // count travels with the event instead of being a per-job fact.
+        // (time, is_start, job index, cpus). Elastic slices occupy
+        // `width × cpus`, so the CPU count travels with the event instead
+        // of being a per-job fact. Only the state after an instant is
+        // checked, so the order within one instant is free.
         let mut events: Vec<(SimTime, bool, usize, u32)> = Vec::new();
         for (idx, outcome) in self.report.jobs.iter().enumerate() {
             for segment in &outcome.segments {
@@ -344,36 +400,37 @@ impl Auditor<'_> {
                 }
             }
         }
-        events.sort_by_key(|&(t, is_start, idx, cpus)| (t, is_start, idx, cpus));
-        let mut active: std::collections::BTreeMap<usize, u32> = std::collections::BTreeMap::new();
-        let mut busy = 0u64;
-        let mut i = 0;
-        while i < events.len() {
-            let t = events[i].0;
-            while i < events.len() && events[i].0 == t {
-                let (_, is_start, idx, cpus) = events[i];
+        events.sort_unstable_by_key(|event| event.0);
+        // Open slices per job, and how many jobs have one open.
+        let mut open = vec![0i32; self.report.jobs.len()];
+        let mut active = 0usize;
+        let mut busy = 0i64;
+        for group in events.chunk_by(|a, b| a.0 == b.0) {
+            let t = group[0].0;
+            for &(_, is_start, idx, cpus) in group {
+                let slices = &mut open[idx];
+                let was_open = *slices != 0;
                 if is_start {
-                    *active.entry(idx).or_insert(0) += 1;
-                    busy += cpus as u64;
+                    *slices += 1;
+                    busy += i64::from(cpus);
                 } else {
-                    let count = active.get_mut(&idx).expect("balanced segment events");
-                    *count -= 1;
-                    if *count == 0 {
-                        active.remove(&idx);
-                    }
-                    busy -= cpus as u64;
+                    *slices -= 1;
+                    busy -= i64::from(cpus);
                 }
-                i += 1;
+                match (was_open, *slices != 0) {
+                    (false, true) => active += 1,
+                    (true, false) => active -= 1,
+                    _ => {}
+                }
             }
             // One job wider than the cap may run alone (the documented
             // anti-deadlock escape); anything else must fit the cap.
-            if busy > cap as u64 && active.len() > 1 {
+            if busy > i64::from(cap) && active > 1 {
                 self.violation(
                     AuditInvariant::Occupancy,
                     None,
                     format!(
-                        "{busy} elastic CPUs busy across {} jobs after {t}, cap is {cap}",
-                        active.len()
+                        "{busy} elastic CPUs busy across {active} jobs after {t}, cap is {cap}"
                     ),
                 );
             }
@@ -499,33 +556,19 @@ impl Auditor<'_> {
     /// reserved segment ending exactly then still counts as busy): the
     /// engine may legitimately start blocked work midway through a batch
     /// of same-instant releases, and the lenient reading keeps those
-    /// legal interleavings out of the violation list.
+    /// legal interleavings out of the violation list. Each start is one
+    /// binary search into the occupancy sweep's `reserved_steps`.
     fn check_work_conservation(&mut self) {
         let capacity = self.report.totals.reserved_capacity as u64;
-        let mut reserved: Vec<(SimTime, SimTime, u32)> = Vec::new();
-        for outcome in &self.report.jobs {
-            for segment in &outcome.segments {
-                if segment.option == PurchaseOption::Reserved {
-                    reserved.push((
-                        segment.start,
-                        segment.end,
-                        segment.cpus_used(outcome.job.cpus),
-                    ));
-                }
-            }
-        }
-        for outcome in &self.report.jobs {
+        let report = self.report;
+        for outcome in &report.jobs {
             for segment in &outcome.segments {
                 if segment.option != PurchaseOption::OnDemand {
                     continue;
                 }
                 self.tally();
                 let t = segment.start;
-                let busy: u64 = reserved
-                    .iter()
-                    .filter(|&&(start, end, _)| start <= t && t <= end)
-                    .map(|&(_, _, cpus)| cpus as u64)
-                    .sum();
+                let busy = self.reserved_busy_at(t);
                 if busy + segment.cpus_used(outcome.job.cpus) as u64 <= capacity {
                     self.violation(
                         AuditInvariant::WorkConservation,
@@ -608,7 +651,7 @@ impl Auditor<'_> {
                     segment_cost(
                         &self.config.pricing,
                         s.option,
-                        outcome.job.cpus,
+                        s.cpus_used(outcome.job.cpus),
                         s.start,
                         s.end,
                     ) * (multiplier - 1.0)
@@ -1034,5 +1077,287 @@ mod tests {
             detail: "too busy".into(),
         };
         assert!(global.to_string().starts_with("[occupancy]"));
+    }
+
+    /// The pre-sweep work-conservation check, kept verbatim as the
+    /// differential oracle: every on-demand start rescans every reserved
+    /// segment.
+    fn oracle_work_conservation(report: &SimReport) -> AuditReport {
+        let mut out = AuditReport::default();
+        let capacity = report.totals.reserved_capacity as u64;
+        let mut reserved: Vec<(SimTime, SimTime, u32)> = Vec::new();
+        for outcome in &report.jobs {
+            for segment in &outcome.segments {
+                if segment.option == PurchaseOption::Reserved {
+                    reserved.push((
+                        segment.start,
+                        segment.end,
+                        segment.cpus_used(outcome.job.cpus),
+                    ));
+                }
+            }
+        }
+        for outcome in &report.jobs {
+            for segment in &outcome.segments {
+                if segment.option != PurchaseOption::OnDemand {
+                    continue;
+                }
+                out.checks_run += 1;
+                let t = segment.start;
+                let busy: u64 = reserved
+                    .iter()
+                    .filter(|&&(start, end, _)| start <= t && t <= end)
+                    .map(|&(_, _, cpus)| cpus as u64)
+                    .sum();
+                if busy + segment.cpus_used(outcome.job.cpus) as u64 <= capacity {
+                    out.violations.push(AuditViolation {
+                        invariant: AuditInvariant::WorkConservation,
+                        job: Some(outcome.job.id),
+                        detail: format!(
+                            "started on-demand at {t} although only {busy}/{capacity} \
+                             reserved CPUs were busy"
+                        ),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The pre-sweep reserved occupancy check: a full `(time, delta)` sort.
+    fn oracle_sweep_reserved(report: &SimReport, capacity: i64) -> Vec<AuditViolation> {
+        let mut violations = Vec::new();
+        let mut events: Vec<(SimTime, i64)> = Vec::new();
+        for outcome in &report.jobs {
+            for segment in &outcome.segments {
+                if segment.option == PurchaseOption::Reserved {
+                    let cpus = segment.cpus_used(outcome.job.cpus) as i64;
+                    events.push((segment.start, cpus));
+                    events.push((segment.end, -cpus));
+                }
+            }
+        }
+        events.sort();
+        let mut busy = 0i64;
+        let mut i = 0;
+        while i < events.len() {
+            let t = events[i].0;
+            while i < events.len() && events[i].0 == t {
+                busy += events[i].1;
+                i += 1;
+            }
+            if busy > capacity {
+                violations.push(AuditViolation {
+                    invariant: AuditInvariant::Occupancy,
+                    job: None,
+                    detail: format!("{busy} reserved CPUs busy after {t}, capacity is {capacity}"),
+                });
+            }
+        }
+        violations
+    }
+
+    /// The pre-sweep elastic occupancy check, with its `BTreeMap` of
+    /// open slices per job.
+    fn oracle_sweep_elastic(report: &SimReport, cap: u32) -> Vec<AuditViolation> {
+        let mut violations = Vec::new();
+        let mut events: Vec<(SimTime, bool, usize, u32)> = Vec::new();
+        for (idx, outcome) in report.jobs.iter().enumerate() {
+            for segment in &outcome.segments {
+                if segment.option != PurchaseOption::Reserved {
+                    let cpus = segment.cpus_used(outcome.job.cpus);
+                    events.push((segment.start, true, idx, cpus));
+                    events.push((segment.end, false, idx, cpus));
+                }
+            }
+        }
+        events.sort_by_key(|&(t, is_start, idx, cpus)| (t, is_start, idx, cpus));
+        let mut active: std::collections::BTreeMap<usize, u32> = std::collections::BTreeMap::new();
+        let mut busy = 0u64;
+        let mut i = 0;
+        while i < events.len() {
+            let t = events[i].0;
+            while i < events.len() && events[i].0 == t {
+                let (_, is_start, idx, cpus) = events[i];
+                if is_start {
+                    *active.entry(idx).or_insert(0) += 1;
+                    busy += cpus as u64;
+                } else {
+                    let count = active.get_mut(&idx).expect("balanced segment events");
+                    *count -= 1;
+                    if *count == 0 {
+                        active.remove(&idx);
+                    }
+                    busy -= cpus as u64;
+                }
+                i += 1;
+            }
+            if busy > cap as u64 && active.len() > 1 {
+                violations.push(AuditViolation {
+                    invariant: AuditInvariant::Occupancy,
+                    job: None,
+                    detail: format!(
+                        "{busy} elastic CPUs busy across {} jobs after {t}, cap is {cap}",
+                        active.len()
+                    ),
+                });
+            }
+        }
+        violations
+    }
+
+    /// The sweeps' verdicts on `report`: the reserved occupancy
+    /// violations, the work-conservation family, and the elastic
+    /// occupancy violations under `cap`.
+    fn sweep_verdicts(
+        report: &SimReport,
+        config: &ClusterConfig,
+        carbon: &CarbonTrace,
+        cap: u32,
+    ) -> (Vec<AuditViolation>, AuditReport, Vec<AuditViolation>) {
+        let mut auditor = Auditor::new(report, config, carbon, None);
+        auditor.sweep_reserved();
+        let reserved = std::mem::take(&mut auditor.out.violations);
+        auditor.check_work_conservation();
+        let conservation = std::mem::take(&mut auditor.out);
+        auditor.sweep_elastic(cap);
+        (reserved, conservation, auditor.out.violations)
+    }
+
+    fn assert_sweeps_match_oracles(report: &SimReport, config: &ClusterConfig, cap: u32) {
+        let carbon = trace();
+        let (reserved, conservation, elastic) = sweep_verdicts(report, config, &carbon, cap);
+        assert_eq!(
+            reserved,
+            oracle_sweep_reserved(report, config.reserved_cpus as i64)
+        );
+        assert_eq!(conservation, oracle_work_conservation(report));
+        assert_eq!(elastic, oracle_sweep_elastic(report, cap));
+    }
+
+    fn option_strategy() -> impl proptest::strategy::Strategy<Value = PurchaseOption> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(PurchaseOption::Reserved),
+            Just(PurchaseOption::OnDemand),
+            Just(PurchaseOption::Spot),
+        ]
+    }
+
+    /// `(cpus, [(start, len, option, width)])` per job, on a 16-minute
+    /// clock so same-instant boundaries are the common case. Reserved
+    /// segments may be empty or even inverted (`len` is then a step
+    /// backwards): the engine never records either, but a forged report
+    /// may, and the sweeps must read them as the oracles do.
+    type RandomJobs = Vec<(u32, Vec<(u64, i64, PurchaseOption, u32)>)>;
+
+    fn report_with(jobs: &RandomJobs, reserved_capacity: u32) -> SimReport {
+        let (mut report, _, _) = run_default();
+        let template = report.jobs[0].clone();
+        report.totals.reserved_capacity = reserved_capacity;
+        report.jobs = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, (cpus, segments))| {
+                let mut outcome = template.clone();
+                outcome.job = Job::new(JobId(i as u64), SimTime::ORIGIN, Minutes::new(60), *cpus);
+                outcome.segments = segments
+                    .iter()
+                    .map(|&(start, len, option, width)| {
+                        // Only reserved segments may be degenerate: the
+                        // elastic oracle requires every slice to end
+                        // after it starts.
+                        let len = if option == PurchaseOption::Reserved {
+                            len
+                        } else {
+                            len.max(1)
+                        };
+                        SegmentRecord {
+                            start: SimTime::from_minutes(start),
+                            end: SimTime::from_minutes(start.saturating_add_signed(len)),
+                            option,
+                            useful: true,
+                            width,
+                            work_milli: 0,
+                        }
+                    })
+                    .collect();
+                outcome
+            })
+            .collect();
+        report
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The sweeps agree with the quadratic and `BTreeMap` oracles on
+        /// random segment sets: same violations in the same order, with
+        /// the same details, and the same check count.
+        #[test]
+        fn sweeps_match_the_oracles_on_random_segments(
+            jobs in proptest::collection::vec(
+                (
+                    1u32..4,
+                    proptest::collection::vec((0u64..16, -2i64..6, option_strategy(), 1u32..4), 0..6),
+                ),
+                1..8,
+            ),
+            reserved in 0u32..10,
+            cap in 1u32..10,
+        ) {
+            let report = report_with(&jobs, reserved);
+            let config = ClusterConfig::default().with_reserved(reserved);
+            assert_sweeps_match_oracles(&report, &config, cap);
+        }
+
+        /// Forged option flips on a real engine run: any segment turned
+        /// into another pool, checked against the oracles.
+        #[test]
+        fn sweeps_match_the_oracles_on_forged_option_flips(
+            flips in proptest::collection::vec((0usize..3, 0usize..4, option_strategy()), 1..4),
+            cap in 1u32..4,
+        ) {
+            let (mut report, config, _) = run_default();
+            for &(job, seg, option) in &flips {
+                let segments = &mut report.jobs[job].segments;
+                let seg = seg % segments.len();
+                segments[seg].option = option;
+            }
+            assert_sweeps_match_oracles(&report, &config, cap);
+        }
+    }
+
+    #[test]
+    fn reserved_end_at_an_on_demand_start_counts_as_busy() {
+        // Job 0 holds both reserved CPUs over [0, 60]; job 1 starts
+        // on-demand at 60, the instant job 0 releases. The closed-end
+        // reading counts job 0 as still busy, so this is no violation,
+        // while a start one minute later is.
+        let seg = |start: u64, end: u64, option| SegmentRecord {
+            start: SimTime::from_minutes(start),
+            end: SimTime::from_minutes(end),
+            option,
+            useful: true,
+            width: 1,
+            work_milli: 0,
+        };
+        let (mut report, config, carbon) = run_default();
+        report.jobs.truncate(2);
+        report.jobs[0].job.cpus = 2;
+        report.jobs[1].job.cpus = 1;
+        report.jobs[0].segments = vec![seg(0, 60, PurchaseOption::Reserved)];
+        report.jobs[1].segments = vec![seg(60, 90, PurchaseOption::OnDemand)];
+        let (_, conservation, _) = sweep_verdicts(&report, &config, &carbon, 1);
+        assert!(conservation.is_clean(), "{:?}", conservation.violations);
+        assert_eq!(conservation, oracle_work_conservation(&report));
+
+        report.jobs[1].segments = vec![seg(61, 90, PurchaseOption::OnDemand)];
+        let (_, conservation, _) = sweep_verdicts(&report, &config, &carbon, 1);
+        assert_eq!(conservation.violations.len(), 1);
+        assert!(conservation.violations[0]
+            .detail
+            .contains("only 0/2 reserved CPUs were busy"));
+        assert_eq!(conservation, oracle_work_conservation(&report));
     }
 }

@@ -7,8 +7,9 @@
 use gaia_carbon::{CarbonTrace, PerfectForecaster};
 use gaia_obs::NullSink;
 use gaia_sim::{
-    audit_report, ClusterConfig, Decision, ElasticPlan, ElasticSegment, EvictionModel,
-    OnlineEngine, Scheduler, SchedulerContext, SegmentPlan, Simulation,
+    audit_report, audit_report_faulted, AuditInvariant, ClusterConfig, Decision, ElasticPlan,
+    ElasticSegment, EvictionModel, FaultPlan, FaultSpec, OnlineEngine, Scheduler, SchedulerContext,
+    SegmentPlan, Simulation,
 };
 use gaia_time::{Minutes, SimTime};
 use gaia_workload::{Job, JobId, WorkloadTrace};
@@ -131,6 +132,50 @@ fn ideal_speedup_finishes_early_at_equal_energy() {
     );
     let audit = audit_report(&wide, &config, &carbon);
     assert!(audit.is_clean(), "{:?}", audit.violations);
+}
+
+#[test]
+fn price_spike_on_a_wide_slice_audits_clean() {
+    // One 2-CPU job runs a single width-2 on-demand slice under a 3×
+    // price spike. The engine bills the surcharge on the 4 CPUs the
+    // slice occupies; the audit must recompute the same figure (not the
+    // job's base 2 CPUs) and still catch a forged one.
+    let carbon = CarbonTrace::constant(100.0, 24).expect("valid");
+    let trace = WorkloadTrace::from_jobs(vec![job(0, 0, 180, 2)]);
+    let config = ClusterConfig::default();
+    let schedule = {
+        let mut plan = FaultPlan::new();
+        plan.push(FaultSpec::PriceSpike {
+            start: SimTime::ORIGIN,
+            end: SimTime::from_hours(24),
+            multiplier: 3.0,
+        });
+        plan.compile().expect("valid plan")
+    };
+    let mut report = Simulation::new(config, &carbon)
+        .with_faults(&schedule)
+        .runner(
+            &trace,
+            &mut ElasticNow(vec![slice(0, 90, 2, 180_000)], false),
+        )
+        .execute()
+        .expect("valid")
+        .report;
+    assert_eq!(report.jobs[0].segments[0].cpus_used(2), 4);
+    let surcharge = report.degradation.price_surcharge;
+    assert!(
+        (surcharge - 2.0 * report.totals.cost_on_demand).abs() < 1e-9,
+        "surcharge {surcharge} is twice the usage cost at 3×"
+    );
+    let audit = audit_report_faulted(&report, &config, &carbon, Some(&schedule));
+    assert!(audit.is_clean(), "{:?}", audit.violations);
+
+    // The width-blind figure (half the true surcharge) is a forgery.
+    report.degradation.price_surcharge = surcharge / 2.0;
+    let audit = audit_report_faulted(&report, &config, &carbon, Some(&schedule));
+    assert_eq!(audit.violations.len(), 1, "{:?}", audit.violations);
+    assert_eq!(audit.violations[0].invariant, AuditInvariant::Degradation);
+    assert!(audit.violations[0].detail.contains("price_surcharge"));
 }
 
 #[test]

@@ -174,3 +174,51 @@ fn trace_is_deterministic_across_runs() {
     };
     assert_eq!(render(), render());
 }
+
+#[test]
+fn jsonl_sink_on_a_1k_job_run_matches_per_event_lines() {
+    // The sink serializes every event into one reused line buffer; its
+    // file must be exactly the per-event `to_json_line` lines of the
+    // same run.
+    let carbon = CarbonTrace::from_hourly(
+        (0..24 * 30)
+            .map(|h| 80.0 + ((h * 53) % 311) as f64)
+            .collect(),
+    )
+    .expect("valid trace");
+    let trace = WorkloadTrace::from_jobs(
+        (0..1000u64)
+            .map(|i| job(i, i * 17, 20 + (i * 37) % 400, 1 + (i % 3) as u32))
+            .collect(),
+    );
+    let config = ClusterConfig::default()
+        .with_reserved(6)
+        .with_eviction(EvictionModel::hourly(0.3))
+        .with_seed(11);
+
+    let mut events = VecSink::new();
+    let plain = Simulation::new(config, &carbon)
+        .runner(&trace, &mut MixedPolicy)
+        .sink(&mut events)
+        .execute()
+        .expect("simulation succeeds")
+        .into_report();
+    let mut jsonl = JsonlSink::new(Vec::new());
+    let report = Simulation::new(config, &carbon)
+        .runner(&trace, &mut MixedPolicy)
+        .sink(&mut jsonl)
+        .execute()
+        .expect("simulation succeeds")
+        .into_report();
+    assert_eq!(report.jobs, plain.jobs);
+
+    let events = events.into_events();
+    assert!(events.len() > 5000, "{} events", events.len());
+    assert_eq!(jsonl.written(), events.len() as u64);
+    let expected: String = events
+        .iter()
+        .flat_map(|ev| [ev.to_json_line(), "\n".to_string()])
+        .collect();
+    let bytes = jsonl.finish().expect("vec write cannot fail");
+    assert_eq!(String::from_utf8(bytes).expect("valid utf-8"), expected);
+}
