@@ -33,7 +33,7 @@ pub mod session;
 pub mod snapshot;
 pub mod telemetry;
 
-pub use daemon::{persist_snapshot, request_termination, run, ServeOptions};
+pub use daemon::{request_termination, run, ServeOptions};
 pub use protocol::{Request, Response, StatsBody, StatusDetail};
 pub use session::{Session, TenantStats};
 pub use snapshot::{encode, restore, SERVICE_SNAPSHOT_VERSION};

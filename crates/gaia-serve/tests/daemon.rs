@@ -169,72 +169,3 @@ fn daemon_handles_concurrent_tenants_and_bad_input() {
     handle.join().expect("daemon thread").expect("daemon run");
     let _ = fs::remove_file(&addr_file);
 }
-
-/// A reader racing [`gaia_serve::persist_snapshot`] must only ever see
-/// a complete old or complete new snapshot at the final path — rename
-/// atomicity plus the pre-rename fsync mean partial bytes are never
-/// observable under the snapshot name.
-#[test]
-fn persist_snapshot_never_exposes_partial_bytes() {
-    let path = temp_path("atomic.snap");
-    let _ = fs::remove_file(&path);
-    let payload_a = vec![0xAAu8; 64 * 1024];
-    let payload_b = vec![0xBBu8; 256 * 1024];
-    gaia_serve::persist_snapshot(&path, &payload_a).expect("initial persist");
-
-    let reader_path = path.clone();
-    let reader = thread::spawn(move || {
-        for _ in 0..400 {
-            let bytes = fs::read(&reader_path).expect("snapshot path always readable");
-            let complete = bytes.iter().all(|&b| b == 0xAA) && bytes.len() == 64 * 1024
-                || bytes.iter().all(|&b| b == 0xBB) && bytes.len() == 256 * 1024;
-            assert!(
-                complete,
-                "observed partial snapshot: {} byte(s), first {:?}",
-                bytes.len(),
-                bytes.first()
-            );
-        }
-    });
-    for round in 0..40 {
-        let payload = if round % 2 == 0 {
-            &payload_b
-        } else {
-            &payload_a
-        };
-        gaia_serve::persist_snapshot(&path, payload).expect("persist");
-    }
-    reader.join().expect("reader thread");
-
-    // A successful persist leaves no staging file behind.
-    assert!(!path.with_extension("tmp").exists(), "tmp must not linger");
-    let _ = fs::remove_file(&path);
-}
-
-/// A persist that fails partway keeps the previous snapshot intact and
-/// never leaves a readable staging file under the final name.
-#[test]
-fn persist_snapshot_failure_keeps_previous_snapshot() {
-    let path = temp_path("wedged.snap");
-    let tmp = path.with_extension("tmp");
-    let _ = fs::remove_file(&path);
-    gaia_serve::persist_snapshot(&path, b"good snapshot").expect("initial persist");
-
-    // Wedge the staging path: a directory where the `.tmp` file goes
-    // makes the write fail before anything touches the final name.
-    let _ = fs::remove_file(&tmp);
-    fs::create_dir(&tmp).expect("wedge staging path");
-    let err = gaia_serve::persist_snapshot(&path, b"half-written").expect_err("persist must fail");
-    assert_eq!(err.kind(), std::io::ErrorKind::IsADirectory);
-    assert_eq!(
-        fs::read(&path).expect("previous snapshot survives"),
-        b"good snapshot"
-    );
-    fs::remove_dir(&tmp).expect("unwedge");
-
-    // Recovery: the next persist succeeds and replaces the bytes whole.
-    gaia_serve::persist_snapshot(&path, b"fresh snapshot").expect("recovered persist");
-    assert_eq!(fs::read(&path).expect("snapshot"), b"fresh snapshot");
-    assert!(!tmp.exists(), "tmp must not linger after recovery");
-    let _ = fs::remove_file(&path);
-}

@@ -48,6 +48,7 @@
 
 mod account;
 mod audit;
+pub mod codec;
 mod config;
 mod engine;
 mod error;
@@ -76,6 +77,7 @@ pub use eviction::EvictionModel;
 // Fault injection: re-exported so engine callers can build and compile
 // fault plans ([`Simulation::with_faults`]) without naming gaia-fault
 // directly.
+pub use codec::{fnv1a, SnapshotError};
 pub use gaia_fault::{FaultError, FaultPlan, FaultSchedule, FaultSpec};
 pub use gaia_obs::{
     Event as TraceEvent, JsonlSink, NullSink, Profiler, Sink, TraceSummary, VecSink,
@@ -84,4 +86,4 @@ pub use online::{CancelOutcome, JobStatus, OnlineEngine};
 pub use plan::{Decision, ElasticPlan, ElasticSegment, PurchaseOption, SegmentPlan};
 pub use pool::ReservedPool;
 pub use report::{AllocationTimeline, DegradationStats, SimReport, TransferStats};
-pub use snapshot::{fnv1a, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::SNAPSHOT_VERSION;

@@ -10,9 +10,7 @@
 //!
 //! # Format
 //!
-//! Hand-rolled little-endian binary (the vendored `serde` is a no-op
-//! stub, and a fixed byte layout is exactly what the determinism
-//! contract needs):
+//! Framed with the shared [`crate::codec`] primitives:
 //!
 //! ```text
 //! magic    8 bytes  b"GAIASNAP"
@@ -24,10 +22,9 @@
 //!
 //! # Versioning contract
 //!
-//! The version is bumped on **any** change to the layout of existing
-//! state. Readers accept exactly the versions they know and reject
-//! everything else with [`SnapshotError::Incompatible`] — an old binary
-//! refuses a new snapshot rather than misreading it.
+//! [`SNAPSHOT_VERSION`] is bumped on **any** change to the layout of
+//! existing state; the codec header rejects every other version with
+//! [`SnapshotError::Incompatible`].
 //!
 //! One carve-out keeps version 1 readable both ways across the elastic
 //! extension: state that only elastic runs produce is encoded through
@@ -47,14 +44,14 @@
 //! snapshotted at all.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
 
 use gaia_carbon::{CarbonForecaster, CarbonTrace};
 use gaia_obs::Sink;
-use gaia_time::{Minutes, SimTime};
+use gaia_time::SimTime;
 use gaia_workload::{Job, JobId};
 
 use crate::account::SegmentRecord;
+use crate::codec::{fnv1a, Reader, SnapshotError, Writer};
 use crate::config::ClusterConfig;
 use crate::eventq::EventQueue;
 use crate::online::{CapBlocked, Event, EventKind, OnlineEngine, SegNode, Tag, NO_TIME, SEG_NIL};
@@ -74,41 +71,6 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// pre-elastic format.
 const SEG_EXTENDED: u8 = 16;
 
-/// Why a snapshot could not be restored.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The payload is truncated or structurally malformed.
-    Corrupt(String),
-    /// The payload is well-formed but from a different world: unknown
-    /// layout version, or a config/carbon fingerprint mismatch.
-    Incompatible(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
-            SnapshotError::Incompatible(msg) => write!(f, "incompatible snapshot: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// FNV-1a over arbitrary bytes; stable, dependency-free fingerprinting.
-///
-/// Public because the sweep layer content-addresses its on-disk result
-/// cache with the same machinery (`gaia-sweep`'s cell fingerprints),
-/// keeping every fingerprint in the workspace on one algorithm.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Fingerprint of the cluster configuration, via its debug repr (every
 /// behaviour-relevant field derives `Debug`).
 pub(crate) fn config_fingerprint(config: &ClusterConfig) -> u64 {
@@ -119,12 +81,12 @@ pub(crate) fn config_fingerprint(config: &ClusterConfig) -> u64 {
 /// bit pattern of every hourly value.
 pub(crate) fn carbon_fingerprint(carbon: &CarbonTrace) -> u64 {
     let values = carbon.hourly_values();
-    let mut bytes = Vec::with_capacity(8 + values.len() * 8);
-    bytes.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    for v in values {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    let mut w = Writer::new();
+    w.u64(values.len() as u64);
+    for &v in values {
+        w.f64(v);
     }
-    fnv1a(&bytes)
+    fnv1a(&w.into_bytes())
 }
 
 /// The wire tag for a purchase option (low bits of the segment-record
@@ -137,374 +99,196 @@ fn purchase_tag(option: PurchaseOption) -> u8 {
     }
 }
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
+fn purchase_from_tag(tag: u8) -> Result<PurchaseOption, SnapshotError> {
+    match tag {
+        0 => Ok(PurchaseOption::Reserved),
+        1 => Ok(PurchaseOption::OnDemand),
+        2 => Ok(PurchaseOption::Spot),
+        other => Err(SnapshotError::Corrupt(format!(
+            "invalid purchase option {other}"
+        ))),
+    }
 }
 
-impl Writer {
-    fn new() -> Writer {
-        Writer { buf: Vec::new() }
+/// Encodes one segment record. Plain records (`width == 1`,
+/// `work_milli == 0`) use the exact pre-elastic byte layout; extended
+/// records set [`SEG_EXTENDED`] on the purchase byte and append the
+/// width and work fields.
+fn write_segment_record(w: &mut Writer, rec: &SegmentRecord) {
+    w.time(rec.start);
+    w.time(rec.end);
+    let plain = rec.width == 1 && rec.work_milli == 0;
+    w.u8(purchase_tag(rec.option) | if plain { 0 } else { SEG_EXTENDED });
+    w.bool(rec.useful);
+    if !plain {
+        w.u32(rec.width);
+        w.u64(rec.work_milli);
     }
+}
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+/// Decodes one segment record; the inverse of [`write_segment_record`].
+fn read_segment_record(r: &mut Reader<'_>) -> Result<SegmentRecord, SnapshotError> {
+    let start = r.time()?;
+    let end = r.time()?;
+    let tag = r.u8()?;
+    let option = purchase_from_tag(tag & !SEG_EXTENDED)?;
+    let useful = r.bool()?;
+    let (width, work_milli) = if tag & SEG_EXTENDED != 0 {
+        (r.u32()?, r.u64()?)
+    } else {
+        (1, 0)
+    };
+    if width == 0 {
+        return Err(SnapshotError::Corrupt(
+            "segment record with zero width".to_owned(),
+        ));
     }
+    Ok(SegmentRecord {
+        start,
+        end,
+        option,
+        useful,
+        width,
+        work_milli,
+    })
+}
 
-    fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
+/// Encodes a packed decision, resolving segment spans through the
+/// arena; the byte layout matches [`read_decision`] exactly.
+fn write_decision(w: &mut Writer, p: PackedDecision, arena: &PlanArena) {
+    debug_assert!(p.is_some(), "cannot encode an absent decision");
+    if p.kind == DK_ONCE {
+        w.u8(0);
+        w.time(p.planned);
+        w.bool(p.flags & DF_OPPORTUNISTIC != 0);
+        w.bool(p.flags & DF_SPOT != 0);
+        return;
     }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn time(&mut self, t: SimTime) {
-        self.u64(t.as_minutes());
-    }
-
-    fn minutes(&mut self, m: Minutes) {
-        self.u64(m.as_minutes());
-    }
-
-    fn option_time(&mut self, t: Option<SimTime>) {
-        match t {
-            None => self.u8(0),
-            Some(t) => {
-                self.u8(1);
-                self.time(t);
-            }
-        }
-    }
-
-    fn purchase(&mut self, option: PurchaseOption) {
-        self.u8(purchase_tag(option));
-    }
-
-    /// Encodes one segment record. Plain records (`width == 1`,
-    /// `work_milli == 0`) use the exact pre-elastic byte layout;
-    /// extended records set [`SEG_EXTENDED`] on the purchase byte and
-    /// append the width and work fields.
-    fn segment_record(&mut self, rec: &SegmentRecord) {
-        self.time(rec.start);
-        self.time(rec.end);
-        if rec.width == 1 && rec.work_milli == 0 {
-            self.purchase(rec.option);
-            self.bool(rec.useful);
-        } else {
-            self.u8(purchase_tag(rec.option) | SEG_EXTENDED);
-            self.bool(rec.useful);
-            self.u32(rec.width);
-            self.u64(rec.work_milli);
-        }
-    }
-
-    /// Encodes a packed decision, resolving segment spans through the
-    /// arena. The byte layout matches [`Reader::decision`] exactly.
-    fn packed_decision(&mut self, p: PackedDecision, arena: &PlanArena) {
-        debug_assert!(p.is_some(), "cannot encode an absent decision");
-        if p.kind == DK_ONCE {
-            self.u8(0);
-            self.time(p.planned);
-            self.bool(p.flags & DF_OPPORTUNISTIC != 0);
-            self.bool(p.flags & DF_SPOT != 0);
-        } else if p.kind == DK_ELASTIC {
-            self.u8(2);
-            self.bool(p.flags & DF_SPOT != 0);
-            let spans = arena.spans_of(p);
-            self.u64(spans.len() as u64);
-            for (seg_idx, &(start, len)) in spans.iter().enumerate() {
-                self.time(start);
-                self.minutes(len);
-                self.u32(arena.width_of(p, seg_idx));
-                self.u64(arena.work_of(p, seg_idx));
-            }
-        } else {
-            self.u8(1);
-            self.bool(p.flags & DF_SPOT != 0);
-            let spans = arena.spans_of(p);
-            self.u64(spans.len() as u64);
-            for &(start, len) in spans {
-                self.time(start);
-                self.minutes(len);
-            }
-        }
-    }
-
-    fn event_kind(&mut self, kind: EventKind) {
-        match kind {
-            EventKind::Arrival => self.u8(0),
-            EventKind::PlannedStart => self.u8(1),
-            EventKind::SegmentStart(seg) => {
-                self.u8(2);
-                self.u64(seg as u64);
-            }
-            EventKind::FinishOnce => self.u8(3),
-            EventKind::FinishSegment(seg) => {
-                self.u8(4);
-                self.u64(seg as u64);
-            }
-            EventKind::Eviction => self.u8(5),
-            EventKind::CapTick => self.u8(6),
+    let elastic = p.kind == DK_ELASTIC;
+    w.u8(if elastic { 2 } else { 1 });
+    w.bool(p.flags & DF_SPOT != 0);
+    let spans = arena.spans_of(p);
+    w.u64(spans.len() as u64);
+    for (seg_idx, &(start, len)) in spans.iter().enumerate() {
+        w.time(start);
+        w.minutes(len);
+        if elastic {
+            w.u32(arena.width_of(p, seg_idx));
+            w.u64(arena.work_of(p, seg_idx));
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------
-
-struct Reader<'b> {
-    buf: &'b [u8],
-    pos: usize,
+fn read_decision(r: &mut Reader<'_>) -> Result<Decision, SnapshotError> {
+    match r.u8()? {
+        0 => {
+            let planned_start = r.time()?;
+            let opportunistic_reserved = r.bool()?;
+            let use_spot = r.bool()?;
+            Ok(Decision {
+                kind: DecisionKind::Once {
+                    planned_start,
+                    opportunistic_reserved,
+                    use_spot,
+                },
+            })
+        }
+        1 => {
+            let use_spot = r.bool()?;
+            let n = r.count(16)?;
+            let mut segments = Vec::with_capacity(n);
+            for _ in 0..n {
+                segments.push((r.time()?, r.minutes()?));
+            }
+            if segments.is_empty() {
+                return Err(SnapshotError::Corrupt("empty segment plan".to_owned()));
+            }
+            Ok(Decision {
+                kind: DecisionKind::Segments {
+                    plan: SegmentPlan { segments },
+                    use_spot,
+                },
+            })
+        }
+        2 => {
+            let use_spot = r.bool()?;
+            let n = r.count(28)?;
+            let mut segments = Vec::with_capacity(n);
+            for _ in 0..n {
+                segments.push(ElasticSegment {
+                    start: r.time()?,
+                    len: r.minutes()?,
+                    width: r.u32()?,
+                    work_milli: r.u64()?,
+                });
+            }
+            if segments.is_empty() {
+                return Err(SnapshotError::Corrupt("empty elastic plan".to_owned()));
+            }
+            // Validate before `ElasticPlan::new`, whose contract
+            // checks panic — a corrupt payload must fail cleanly.
+            for seg in &segments {
+                if seg.len.is_zero() || seg.width == 0 || seg.work_milli == 0 {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "degenerate elastic slice at {}",
+                        seg.start
+                    )));
+                }
+            }
+            for pair in segments.windows(2) {
+                if pair[1].start < pair[0].end() {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "elastic slices overlap at {}",
+                        pair[1].start
+                    )));
+                }
+            }
+            Ok(Decision {
+                kind: DecisionKind::Elastic {
+                    plan: ElasticPlan::new(segments),
+                    use_spot,
+                },
+            })
+        }
+        other => Err(SnapshotError::Corrupt(format!(
+            "invalid decision tag {other}"
+        ))),
+    }
 }
 
-impl<'b> Reader<'b> {
-    fn new(buf: &'b [u8]) -> Reader<'b> {
-        Reader { buf, pos: 0 }
+fn write_event_kind(w: &mut Writer, kind: EventKind) {
+    match kind {
+        EventKind::Arrival => w.u8(0),
+        EventKind::PlannedStart => w.u8(1),
+        EventKind::SegmentStart(seg) => {
+            w.u8(2);
+            w.u64(seg as u64);
+        }
+        EventKind::FinishOnce => w.u8(3),
+        EventKind::FinishSegment(seg) => {
+            w.u8(4);
+            w.u64(seg as u64);
+        }
+        EventKind::Eviction => w.u8(5),
+        EventKind::CapTick => w.u8(6),
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'b [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| {
-                SnapshotError::Corrupt(format!(
-                    "truncated at offset {} (wanted {n} more bytes of {})",
-                    self.pos,
-                    self.buf.len()
-                ))
-            })?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn done(&self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after the payload",
-                self.buf.len() - self.pos
+fn read_event_kind(r: &mut Reader<'_>) -> Result<EventKind, SnapshotError> {
+    Ok(match r.u8()? {
+        0 => EventKind::Arrival,
+        1 => EventKind::PlannedStart,
+        2 => EventKind::SegmentStart(r.u64()? as usize),
+        3 => EventKind::FinishOnce,
+        4 => EventKind::FinishSegment(r.u64()? as usize),
+        5 => EventKind::Eviction,
+        6 => EventKind::CapTick,
+        other => {
+            return Err(SnapshotError::Corrupt(format!(
+                "invalid event kind {other}"
             )))
         }
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SnapshotError::Corrupt(format!("invalid bool byte {other}"))),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A count that must be plausible for the payload size, so corrupt
-    /// lengths fail cleanly instead of attempting a huge allocation.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if n.saturating_mul(min_elem_bytes.max(1) as u64) > remaining {
-            return Err(SnapshotError::Corrupt(format!(
-                "count {n} exceeds the remaining {remaining} payload bytes"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn time(&mut self) -> Result<SimTime, SnapshotError> {
-        Ok(SimTime::from_minutes(self.u64()?))
-    }
-
-    fn minutes(&mut self) -> Result<Minutes, SnapshotError> {
-        Ok(Minutes::new(self.u64()?))
-    }
-
-    fn option_time(&mut self) -> Result<Option<SimTime>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.time()?)),
-            other => Err(SnapshotError::Corrupt(format!(
-                "invalid option tag {other}"
-            ))),
-        }
-    }
-
-    fn purchase(&mut self) -> Result<PurchaseOption, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(PurchaseOption::Reserved),
-            1 => Ok(PurchaseOption::OnDemand),
-            2 => Ok(PurchaseOption::Spot),
-            other => Err(SnapshotError::Corrupt(format!(
-                "invalid purchase option {other}"
-            ))),
-        }
-    }
-
-    /// Decodes one segment record; the inverse of
-    /// [`Writer::segment_record`].
-    fn segment_record(&mut self) -> Result<SegmentRecord, SnapshotError> {
-        let start = self.time()?;
-        let end = self.time()?;
-        let tag = self.u8()?;
-        let option = match tag & !SEG_EXTENDED {
-            0 => PurchaseOption::Reserved,
-            1 => PurchaseOption::OnDemand,
-            2 => PurchaseOption::Spot,
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "invalid purchase option {other}"
-                )))
-            }
-        };
-        let useful = self.bool()?;
-        let (width, work_milli) = if tag & SEG_EXTENDED != 0 {
-            (self.u32()?, self.u64()?)
-        } else {
-            (1, 0)
-        };
-        if width == 0 {
-            return Err(SnapshotError::Corrupt(
-                "segment record with zero width".to_owned(),
-            ));
-        }
-        Ok(SegmentRecord {
-            start,
-            end,
-            option,
-            useful,
-            width,
-            work_milli,
-        })
-    }
-
-    fn decision(&mut self) -> Result<Decision, SnapshotError> {
-        match self.u8()? {
-            0 => {
-                let planned_start = self.time()?;
-                let opportunistic_reserved = self.bool()?;
-                let use_spot = self.bool()?;
-                Ok(Decision {
-                    kind: DecisionKind::Once {
-                        planned_start,
-                        opportunistic_reserved,
-                        use_spot,
-                    },
-                })
-            }
-            1 => {
-                let use_spot = self.bool()?;
-                let n = self.count(16)?;
-                let mut segments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let start = self.time()?;
-                    let len = self.minutes()?;
-                    segments.push((start, len));
-                }
-                if segments.is_empty() {
-                    return Err(SnapshotError::Corrupt("empty segment plan".to_owned()));
-                }
-                Ok(Decision {
-                    kind: DecisionKind::Segments {
-                        plan: SegmentPlan { segments },
-                        use_spot,
-                    },
-                })
-            }
-            2 => {
-                let use_spot = self.bool()?;
-                let n = self.count(28)?;
-                let mut segments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let start = self.time()?;
-                    let len = self.minutes()?;
-                    let width = self.u32()?;
-                    let work_milli = self.u64()?;
-                    segments.push(ElasticSegment {
-                        start,
-                        len,
-                        width,
-                        work_milli,
-                    });
-                }
-                if segments.is_empty() {
-                    return Err(SnapshotError::Corrupt("empty elastic plan".to_owned()));
-                }
-                // Validate before `ElasticPlan::new`, whose contract
-                // checks panic — a corrupt payload must fail cleanly.
-                for seg in &segments {
-                    if seg.len.is_zero() || seg.width == 0 || seg.work_milli == 0 {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "degenerate elastic slice at {}",
-                            seg.start
-                        )));
-                    }
-                }
-                for pair in segments.windows(2) {
-                    if pair[1].start < pair[0].end() {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "elastic slices overlap at {}",
-                            pair[1].start
-                        )));
-                    }
-                }
-                Ok(Decision {
-                    kind: DecisionKind::Elastic {
-                        plan: ElasticPlan::new(segments),
-                        use_spot,
-                    },
-                })
-            }
-            other => Err(SnapshotError::Corrupt(format!(
-                "invalid decision tag {other}"
-            ))),
-        }
-    }
-
-    fn event_kind(&mut self) -> Result<EventKind, SnapshotError> {
-        Ok(match self.u8()? {
-            0 => EventKind::Arrival,
-            1 => EventKind::PlannedStart,
-            2 => EventKind::SegmentStart(self.u64()? as usize),
-            3 => EventKind::FinishOnce,
-            4 => EventKind::FinishSegment(self.u64()? as usize),
-            5 => EventKind::Eviction,
-            6 => EventKind::CapTick,
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "invalid event kind {other}"
-                )))
-            }
-        })
-    }
+    })
 }
 
 impl<'e, S: Sink> OnlineEngine<'e, S> {
@@ -516,8 +300,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
     /// heap-internal layout).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(SNAPSHOT_VERSION);
+        w.header(MAGIC, SNAPSHOT_VERSION);
         w.u64(config_fingerprint(self.config));
         w.u64(carbon_fingerprint(self.carbon));
 
@@ -553,11 +336,11 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
                 Tag::Unarrived => w.u8(0),
                 Tag::Waiting => {
                     w.u8(1);
-                    w.packed_decision(self.wait[i], &self.arena);
+                    write_decision(&mut w, self.wait[i], &self.arena);
                 }
                 Tag::RunningOnce => {
                     w.u8(2);
-                    w.purchase(self.run_option[i]);
+                    w.u8(purchase_tag(self.run_option[i]));
                     w.time(self.run_start[i]);
                     w.u64(self.run_aux[i]); // span minutes
                 }
@@ -569,7 +352,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
                     w.u8(3);
                     w.u8(1);
                     w.u64(u64::from(self.run_seg[i]));
-                    w.purchase(self.run_option[i]);
+                    w.u8(purchase_tag(self.run_option[i]));
                     w.time(self.run_start[i]);
                     w.u64(self.run_aux[i]); // execution-end minutes
                 }
@@ -578,10 +361,8 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             }
         }
         for i in 0..self.jobs.len() {
-            w.option_time(match self.first_start[i] {
-                NO_TIME => None,
-                m => Some(SimTime::from_minutes(m)),
-            });
+            let first_start = (self.first_start[i] != NO_TIME).then_some(&self.first_start[i]);
+            w.opt(first_start, |w, &minutes| w.u64(minutes));
             w.time(self.finish[i]);
             w.f64(self.carbon_g[i]);
             w.f64(self.cost[i]);
@@ -592,14 +373,14 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             let mut node = self.seg_head[i];
             while node != SEG_NIL {
                 let n = &self.seg_nodes[node as usize];
-                w.segment_record(&n.rec);
+                write_segment_record(&mut w, &n.rec);
                 node = n.next;
             }
         }
         for i in 0..self.jobs.len() {
             if self.plan[i].is_some() {
                 w.u8(1);
-                w.packed_decision(self.plan[i], &self.arena);
+                write_decision(&mut w, self.plan[i], &self.arena);
             } else {
                 w.u8(0);
             }
@@ -615,7 +396,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             w.u8(event.prio);
             w.u64(event.seq);
             w.u32(event.job);
-            w.event_kind(event.kind);
+            write_event_kind(&mut w, event.kind);
         }
 
         w.u64(self.waiters.len() as u64);
@@ -642,7 +423,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         for &idx in &self.completions {
             w.u32(idx);
         }
-        w.buf
+        w.into_bytes()
     }
 
     /// Restores an engine from `bytes`, re-anchoring it on the same
@@ -660,15 +441,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         bytes: &[u8],
     ) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(bytes);
-        if r.take(8)? != MAGIC {
-            return Err(SnapshotError::Corrupt("bad magic".to_owned()));
-        }
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Incompatible(format!(
-                "snapshot version {version}, this build reads {SNAPSHOT_VERSION}"
-            )));
-        }
+        r.header(MAGIC, SNAPSHOT_VERSION)?;
         let config_fp = r.u64()?;
         if config_fp != config_fingerprint(config) {
             return Err(SnapshotError::Incompatible(
@@ -731,12 +504,12 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             let t = match r.u8()? {
                 0 => Tag::Unarrived,
                 1 => {
-                    let decision = r.decision()?;
+                    let decision = read_decision(&mut r)?;
                     waiting = arena.intern(&decision);
                     Tag::Waiting
                 }
                 2 => {
-                    option = r.purchase()?;
+                    option = purchase_from_tag(r.u8()?)?;
                     start = r.time()?;
                     aux = r.minutes()?.as_minutes();
                     Tag::RunningOnce
@@ -745,7 +518,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
                     0 => Tag::PlanIdle,
                     1 => {
                         seg = r.u64()? as u32;
-                        option = r.purchase()?;
+                        option = purchase_from_tag(r.u8()?)?;
                         start = r.time()?;
                         aux = r.time()?.as_minutes();
                         Tag::PlanRunning
@@ -783,10 +556,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         let mut seg_tail = Vec::with_capacity(n_jobs);
         let mut seg_count = Vec::with_capacity(n_jobs);
         for _ in 0..n_jobs {
-            first_start.push(match r.option_time()? {
-                None => NO_TIME,
-                Some(t) => t.as_minutes(),
-            });
+            first_start.push(r.opt(|r| r.u64())?.unwrap_or(NO_TIME));
             finish.push(r.time()?);
             carbon_col.push(r.f64()?);
             cost.push(r.f64()?);
@@ -797,7 +567,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             let mut head = SEG_NIL;
             let mut tail = SEG_NIL;
             for _ in 0..n_segments {
-                let rec = r.segment_record()?;
+                let rec = read_segment_record(&mut r)?;
                 let node = seg_nodes.len() as u32;
                 seg_nodes.push(SegNode { rec, next: SEG_NIL });
                 if tail == SEG_NIL {
@@ -816,7 +586,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             plan.push(match r.u8()? {
                 0 => PackedDecision::default(),
                 1 => {
-                    let decision = r.decision()?;
+                    let decision = read_decision(&mut r)?;
                     arena.intern(&decision)
                 }
                 other => {
@@ -835,7 +605,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
                 prio: r.u8()?,
                 seq: r.u64()?,
                 job: r.u32()?,
-                kind: r.event_kind()?,
+                kind: read_event_kind(&mut r)?,
             });
         }
         let n_waiters = r.count(12)?;
@@ -1032,7 +802,9 @@ mod tests {
         let mut sink = NullSink;
         let engine = OnlineEngine::new(&config, &trace, &forecaster, &mut sink);
         let mut bytes = engine.snapshot();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
+        let mut version = Writer::new();
+        version.u32(99);
+        bytes[8..12].copy_from_slice(&version.into_bytes());
         let mut sink2 = NullSink;
         let err =
             OnlineEngine::<NullSink>::restore(&config, &trace, &forecaster, &mut sink2, &bytes)

@@ -1,199 +1,25 @@
-//! Hand-rolled little-endian binary codec for sweep persistence.
+//! Sweep-domain encodings over the shared [`gaia_sim::codec`].
 //!
-//! The vendored serde derives are no-ops, so everything the sweep layer
-//! persists — content-addressed result-cache entries and shard cell
-//! manifests — is encoded here by hand, mirroring the discipline of
-//! `gaia-sim/src/snapshot.rs`: integers little-endian, floats as raw
-//! `f64::to_bits`, strings length-prefixed UTF-8, options as a 0/1 tag.
-//! Readers bounds-check every take, validate enum tags, and reject
-//! trailing bytes, so a truncated or bit-flipped file decodes to an
-//! error instead of a wrong result.
-//!
-//! Determinism matters more than compactness: the same value always
-//! encodes to the same bytes (f64 via `to_bits`, no varints, no maps
-//! with unstable order), which is what lets cell fingerprints and shard
-//! manifests participate in the byte-identity contract.
+//! Everything the sweep layer persists — content-addressed result-cache
+//! entries and shard cell manifests — is built from these `write_x` /
+//! `read_x` pairs. The same value always encodes to the same bytes,
+//! which is what lets cell fingerprints and shard manifests take part
+//! in the byte-identity contract.
 
 use gaia_carbon::Region;
 use gaia_core::catalog::{BasePolicyKind, PolicySpec};
 use gaia_core::SpotConfig;
 use gaia_metrics::Summary;
 use gaia_obs::{MetricsRegistry, HISTOGRAM_BUCKETS};
-use gaia_sim::{AuditInvariant, AuditReport, AuditViolation};
-use gaia_time::Minutes;
+use gaia_sim::codec::{Reader, Writer};
+use gaia_sim::{AuditInvariant, AuditReport, AuditViolation, SnapshotError};
 use gaia_workload::synth::TraceFamily;
 use gaia_workload::JobId;
 
 use crate::grid::{ClusterSpec, QueueSpec, ScaleSpec, Scenario, SweepGrid};
 use crate::CellOutcome;
 
-/// Decode failures are strings; callers wrap them into their own error
-/// types (cache: treat as miss; merge: report as corrupt shard).
-pub(crate) type Result<T> = std::result::Result<T, String>;
-
-// ---------------------------------------------------------------------
-// Primitive writer / reader
-// ---------------------------------------------------------------------
-
-/// Append-only little-endian byte sink.
-#[derive(Default)]
-pub(crate) struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    pub(crate) fn new() -> Self {
-        Writer::default()
-    }
-
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Raw IEEE-754 bits: NaN payloads and signed zeros round-trip.
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub(crate) fn str(&mut self, v: &str) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    pub(crate) fn opt<T: ?Sized>(&mut self, v: Option<&T>, mut f: impl FnMut(&mut Self, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(inner) => {
-                self.u8(1);
-                f(self, inner);
-            }
-        }
-    }
-}
-
-/// Bounds-checked little-endian byte source.
-pub(crate) struct Reader<'b> {
-    bytes: &'b [u8],
-    pos: usize,
-}
-
-impl<'b> Reader<'b> {
-    pub(crate) fn new(bytes: &'b [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'b [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| {
-                format!(
-                    "truncated: need {n} bytes at offset {}, have {}",
-                    self.pos,
-                    self.bytes.len().saturating_sub(self.pos)
-                )
-            })?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Rejects trailing bytes so appended garbage is detected.
-    pub(crate) fn done(&self) -> Result<()> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after decoded value",
-                self.bytes.len() - self.pos
-            ))
-        }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("invalid bool tag {other}")),
-        }
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        let raw = self.take(4)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        let raw = self.take(8)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Element count, guarded so a corrupt length cannot trigger a huge
-    /// allocation: the remaining input must plausibly hold `count`
-    /// elements of at least `min_elem_bytes` each.
-    pub(crate) fn count(&mut self, min_elem_bytes: usize) -> Result<usize> {
-        let count = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        let need = count.checked_mul(min_elem_bytes.max(1) as u64);
-        match need {
-            Some(need) if need <= remaining => Ok(count as usize),
-            _ => Err(format!(
-                "implausible element count {count} ({} bytes remain)",
-                remaining
-            )),
-        }
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String> {
-        let len = self.count(1)?;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
-    }
-
-    pub(crate) fn opt<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T>,
-    ) -> Result<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            other => Err(format!("invalid option tag {other}")),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Domain encodings
-// ---------------------------------------------------------------------
+type Result<T> = std::result::Result<T, SnapshotError>;
 
 fn base_policy_tag(base: BasePolicyKind) -> u8 {
     match base {
@@ -220,7 +46,11 @@ fn base_policy_from_tag(tag: u8) -> Result<BasePolicyKind> {
         6 => BasePolicyKind::CarbonTime,
         7 => BasePolicyKind::BadPlan,
         8 => BasePolicyKind::CarbonScale,
-        other => return Err(format!("invalid base policy tag {other}")),
+        other => {
+            return Err(SnapshotError::Corrupt(format!(
+                "invalid base policy tag {other}"
+            )))
+        }
     })
 }
 
@@ -243,7 +73,11 @@ fn region_from_tag(tag: u8) -> Result<Region> {
         3 => Region::California,
         4 => Region::Netherlands,
         5 => Region::Kentucky,
-        other => return Err(format!("invalid region tag {other}")),
+        other => {
+            return Err(SnapshotError::Corrupt(format!(
+                "invalid region tag {other}"
+            )))
+        }
     })
 }
 
@@ -260,7 +94,11 @@ fn family_from_tag(tag: u8) -> Result<TraceFamily> {
         0 => TraceFamily::AlibabaPai,
         1 => TraceFamily::AzureVm,
         2 => TraceFamily::MustangHpc,
-        other => return Err(format!("invalid trace family tag {other}")),
+        other => {
+            return Err(SnapshotError::Corrupt(format!(
+                "invalid trace family tag {other}"
+            )))
+        }
     })
 }
 
@@ -283,7 +121,11 @@ fn invariant_from_tag(tag: u8) -> Result<AuditInvariant> {
         3 => AuditInvariant::WorkConservation,
         4 => AuditInvariant::Timing,
         5 => AuditInvariant::Degradation,
-        other => return Err(format!("invalid audit invariant tag {other}")),
+        other => {
+            return Err(SnapshotError::Corrupt(format!(
+                "invalid audit invariant tag {other}"
+            )))
+        }
     })
 }
 
@@ -291,7 +133,7 @@ pub(crate) fn write_policy(w: &mut Writer, policy: &PolicySpec) {
     w.u8(base_policy_tag(policy.base));
     w.bool(policy.res_first);
     w.opt(policy.spot.as_ref(), |w, spot: &SpotConfig| {
-        w.u64(spot.j_max.as_minutes());
+        w.minutes(spot.j_max)
     });
 }
 
@@ -300,7 +142,7 @@ pub(crate) fn read_policy(r: &mut Reader<'_>) -> Result<PolicySpec> {
     let res_first = r.bool()?;
     let spot = r.opt(|r| {
         Ok(SpotConfig {
-            j_max: Minutes::new(r.u64()?),
+            j_max: r.minutes()?,
         })
     })?;
     Ok(PolicySpec {
@@ -326,7 +168,7 @@ pub(crate) fn read_scale(r: &mut Reader<'_>) -> Result<ScaleSpec> {
         1 => ScaleSpec::Year {
             jobs: r.u64()? as usize,
         },
-        other => return Err(format!("invalid scale tag {other}")),
+        other => return Err(SnapshotError::Corrupt(format!("invalid scale tag {other}"))),
     })
 }
 
@@ -445,7 +287,7 @@ pub(crate) fn read_grid(r: &mut Reader<'_>) -> Result<SweepGrid> {
         || clusters.is_empty()
         || queues.is_empty()
     {
-        return Err("grid with an empty axis".to_owned());
+        return Err(SnapshotError::Corrupt("grid with an empty axis".to_owned()));
     }
     Ok(SweepGrid {
         policies,
@@ -551,7 +393,11 @@ pub(crate) fn read_outcome(r: &mut Reader<'_>) -> Result<CellOutcome> {
             recovered_error: r.str()?,
         },
         2 => CellOutcome::Failed { error: r.str()? },
-        other => return Err(format!("invalid cell outcome tag {other}")),
+        other => {
+            return Err(SnapshotError::Corrupt(format!(
+                "invalid cell outcome tag {other}"
+            )))
+        }
     })
 }
 
@@ -611,6 +457,7 @@ pub(crate) fn read_metrics_into(r: &mut Reader<'_>, target: &MetricsRegistry) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gaia_time::Minutes;
 
     fn sample_scenarios() -> Vec<Scenario> {
         let mut grid = SweepGrid::week(9)
@@ -720,10 +567,7 @@ mod tests {
         let bytes = w.into_bytes();
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             let mut r = Reader::new(&bytes[..cut]);
-            let err = read_scenario(&mut r)
-                .err()
-                .unwrap_or_else(|| "decoded from truncated input".to_owned());
-            assert!(!err.is_empty());
+            assert!(read_scenario(&mut r).is_err(), "cut at {cut}");
         }
         // Trailing garbage is rejected too.
         let mut extended = bytes.clone();

@@ -78,7 +78,7 @@ pub use cache::{CacheStats, TraceCache};
 pub use diskcache::{DiskCacheStats, RESULT_CACHE_VERSION};
 pub use exec::{default_workers, Executor};
 pub use grid::{ClusterSpec, QueueSpec, ScaleSpec, Scenario, SweepGrid};
-pub use store::{atomic_write, ResultStore, TimingBench};
+pub use store::{ResultStore, TimingBench};
 
 use diskcache::{CellEntry, DiskCache, EntryNeeds};
 
@@ -553,11 +553,14 @@ fn is_timeout_error(error: &str) -> bool {
 ///
 /// The cell's traces are materialized through `cache` *before* the
 /// clock starts, so shared trace synthesis is never billed to an
-/// individual cell. On timeout the worker thread is leaked (std threads
-/// cannot be cancelled); it runs to completion in the background and
-/// its result is discarded. Per-job metrics and phase profiling are
-/// skipped on this path — the registry and profiler borrows cannot
-/// cross into a detached thread — but sweep-level counters still apply.
+/// individual cell. The clock starts before the spawn, and a result
+/// that arrives after the budget is a timeout too: a cell cannot beat
+/// its budget by finishing before the wait begins. On timeout the
+/// worker thread is leaked (std threads cannot be cancelled); it runs
+/// to completion in the background and its result is discarded.
+/// Per-job metrics and phase profiling are skipped on this path — the
+/// registry and profiler borrows cannot cross into a detached thread —
+/// but sweep-level counters still apply.
 fn run_attempt_timed(
     scenario: &Scenario,
     cache: &TraceCache,
@@ -570,6 +573,7 @@ fn run_attempt_timed(
     let workload = cache.workload(scenario.family, scenario.scale, scenario.seed);
     let scenario = *scenario;
     let faults = faults.cloned();
+    let started = Instant::now();
     let (tx, rx) = std::sync::mpsc::channel();
     let spawned = std::thread::Builder::new()
         .name("gaia-sweep-timed-cell".to_owned())
@@ -606,9 +610,9 @@ fn run_attempt_timed(
             let _ = tx.send(result);
         });
     match spawned {
-        Ok(_detached) => match rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(_) => (
+        Ok(_detached) => match rx.recv_timeout(timeout.saturating_sub(started.elapsed())) {
+            Ok(result) if started.elapsed() <= timeout => result,
+            _ => (
                 CellOutcome::Failed {
                     error: format!(
                         "{TIMEOUT_ERROR_PREFIX}{:.3}{TIMEOUT_ERROR_SUFFIX}",
@@ -921,7 +925,7 @@ fn run_grid_engine(
             // the live registry, audit stripped when this run did not
             // ask for it (so warm and cold artifacts stay identical).
             if let (Some(registry), Some(bytes)) = (metrics, &entry.metrics) {
-                let mut reader = codec::Reader::new(bytes);
+                let mut reader = gaia_sim::codec::Reader::new(bytes);
                 if let Err(reason) = codec::read_metrics_into(&mut reader, registry) {
                     gaia_obs::warn!("cached metrics for {key} were undecodable: {reason}");
                 }
@@ -1054,7 +1058,7 @@ fn run_grid_engine(
                         outcome: outcome.clone(),
                         trace: trace_bytes.clone(),
                         metrics: scratch.as_ref().map(|cell| {
-                            let mut w = codec::Writer::new();
+                            let mut w = gaia_sim::codec::Writer::new();
                             codec::write_metrics(&mut w, cell);
                             w.into_bytes()
                         }),

@@ -22,10 +22,11 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use gaia_obs::{MetricsRegistry, Profiler};
+use gaia_sim::codec::atomic_write;
 
 use crate::agg::GroupSummary;
 use crate::SweepRun;
@@ -113,36 +114,6 @@ impl ResultStore {
         json.push('\n');
         atomic_write(&self.dir.join("metrics.json"), json.as_bytes())
     }
-}
-
-/// Durable atomic file replacement: write to a `.tmp` sibling, fsync
-/// it, rename over the target, then fsync the parent directory — the
-/// same discipline as the serving layer's snapshot writes. On any
-/// failure the tmp file is removed and the previous target contents (if
-/// any) survive untouched, so a reader racing a writer — or a process
-/// SIGKILLed mid-write — observes either the old complete bytes or the
-/// new complete bytes, never a truncated file.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let written = (|| {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        // fsync before rename: an unflushed rename can survive a crash
-        // while its contents do not, which is exactly the truncated-file
-        // corruption this function exists to rule out.
-        file.sync_all()?;
-        fs::rename(&tmp, path)
-    })();
-    if let Err(e) = written {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
-    // fsync the directory so the rename itself is durable.
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    fs::File::open(parent)?.sync_all()
 }
 
 /// Quotes one CSV field per RFC 4180: fields containing a comma, a
@@ -555,79 +526,5 @@ mod tests {
     #[test]
     fn git_describe_returns_something() {
         assert!(!git_describe().is_empty());
-    }
-
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gaia-store-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn atomic_write_failure_preserves_old_contents_and_removes_tmp() {
-        let dir = tempdir("atomic-fail");
-        let target = dir.join("manifest.json");
-        atomic_write(&target, b"old complete bytes").unwrap();
-
-        // Failure before the tmp file exists: the target's `.tmp`
-        // sibling path is occupied by a directory, so `File::create`
-        // fails and the old contents survive.
-        fs::create_dir(dir.join("manifest.tmp")).unwrap();
-        assert!(atomic_write(&target, b"new bytes").is_err());
-        assert_eq!(fs::read(&target).unwrap(), b"old complete bytes");
-        fs::remove_dir(dir.join("manifest.tmp")).unwrap();
-
-        // Failure at rename time: the target path is a non-empty
-        // directory, so the rename fails — and the tmp file must have
-        // been cleaned up.
-        let dir_target = dir.join("occupied");
-        fs::create_dir(&dir_target).unwrap();
-        fs::write(dir_target.join("x"), b"x").unwrap();
-        assert!(atomic_write(&dir_target, b"bytes").is_err());
-        assert!(!dir.join("occupied.tmp").exists(), "tmp not removed");
-
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn readers_never_observe_partial_bytes() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        let dir = tempdir("atomic-race");
-        let target = dir.join("scenarios.csv");
-        // Two full payloads with distinct lengths and bytes; any mix or
-        // truncation is detectable.
-        let a: Vec<u8> = std::iter::repeat_n(b'a', 64 * 1024).collect();
-        let b: Vec<u8> = std::iter::repeat_n(b'b', 96 * 1024).collect();
-        atomic_write(&target, &a).unwrap();
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let reader = {
-            let stop = Arc::clone(&stop);
-            let target = target.clone();
-            let (a, b) = (a.clone(), b.clone());
-            std::thread::spawn(move || {
-                let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let bytes = fs::read(&target).expect("target always present");
-                    assert!(
-                        bytes == a || bytes == b,
-                        "reader observed partial write: {} bytes",
-                        bytes.len()
-                    );
-                    reads += 1;
-                }
-                reads
-            })
-        };
-        for i in 0..200 {
-            atomic_write(&target, if i % 2 == 0 { &b } else { &a }).unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        let reads = reader.join().expect("reader thread");
-        assert!(reads > 0, "reader never ran");
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,7 +5,10 @@
 #     links, missing docs on deny-listed crates, bad code fences);
 #  2. every crate must open with crate-level `//!` documentation;
 #  3. every binary / script named in EXPERIMENTS.md must exist, so the
-#     figure-to-artifact map cannot silently rot.
+#     figure-to-artifact map cannot silently rot;
+#  4. every backticked `name(` or `Path::name(` in DESIGN.md and
+#     README.md must name a `fn name` under crates/, so docs cannot keep
+#     describing APIs that were removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,5 +36,14 @@ if [[ -f EXPERIMENTS.md ]]; then
 else
   echo "EXPERIMENTS.md not found" && exit 1
 fi
+
+echo "== DESIGN.md / README.md function references resolve"
+stale=0
+while read -r name; do
+  grep -rqE "fn ${name}\b" crates/ --include='*.rs' \
+    || { echo "docs name a function that does not exist: ${name}"; stale=1; }
+done < <(grep -ohE '`([A-Za-z_][A-Za-z0-9_]*::)*[A-Za-z_][A-Za-z0-9_]*\(' DESIGN.md README.md \
+  | sed -E 's/^`//; s/\($//; s/.*:://' | sort -u)
+[[ ${stale} -eq 0 ]] || exit 1
 
 echo "docs gate passed"
