@@ -351,6 +351,38 @@ fn run_trace_is_byte_identical_across_runs_and_summarizes_clean() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A trace destination that fails every write: the run must end with
+/// the "cannot write" error and a failure exit, not hang or panic on
+/// the trace writer thread.
+#[cfg(target_os = "linux")]
+#[test]
+fn run_trace_to_a_full_device_fails_cleanly() {
+    use std::time::{Duration, Instant};
+    let mut child = gaia()
+        .args(["run", "--trace", "/dev/full"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on gaia") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("gaia run --trace /dev/full did not finish");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut err = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut err)
+        .expect("utf-8 stderr");
+    assert_eq!(status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("cannot write /dev/full"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
 #[test]
 fn run_metrics_prints_snapshot_and_phase_table() {
     let output = gaia()

@@ -80,3 +80,93 @@ proptest! {
         prop_assert_eq!(back.compile().expect("round-tripped plan compiles"), compiled);
     }
 }
+
+/// Fragments random fault-file text is built from: JSON structure,
+/// escapes, numbers at and past the edges of `u64`/`f64`, every key and
+/// kind, control bytes and multi-byte text.
+const FRAGMENTS: [&str; 40] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    "\\u",
+    "\\ud800",
+    "0",
+    "1",
+    "-1",
+    "1e999",
+    "NaN",
+    "0.5",
+    "18446744073709551616",
+    "true",
+    "null",
+    " ",
+    "\u{0}",
+    "\u{e9}",
+    "\u{1f600}",
+    "\"version\"",
+    "\"faults\"",
+    "\"kind\"",
+    "\"eviction_storm\"",
+    "\"forecast_outage\"",
+    "\"price_spike\"",
+    "\"capacity_drop\"",
+    "\"trace_gap\"",
+    "\"chaos_cell\"",
+    "\"start_min\"",
+    "\"end_min\"",
+    "\"multiplier\"",
+    "\"cap\"",
+    "\"start_hour\"",
+    "\"hours\"",
+    "\"key_substr\"",
+    "\"fail_attempts\"",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60_000))]
+
+    /// A fixed-seed corpus of JSON-shaped text, random Unicode, and a
+    /// valid fault file with either spliced in, parses to a plan or an
+    /// error and never panics; a plan that parses also compiles or
+    /// fails validation without panicking.
+    fn random_fault_file_text_never_panics(
+        picks in collection::vec(0usize..FRAGMENTS.len(), 0..40),
+        scalars in collection::vec(0u32..0x11_0000, 0..24),
+        raw in collection::vec(
+            (0u8..6, 0u64..20_000, 1u64..5_000, 0.1f64..32.0, 1u64..5, 0usize..4),
+            1..4,
+        ),
+        at in 0usize..1 << 20,
+    ) {
+        let shaped: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+        let unicode: String = scalars.iter().filter_map(|&c| char::from_u32(c)).collect();
+        let mut plan = FaultPlan::new();
+        for entry in raw {
+            plan.push(spec_from(entry));
+        }
+        let valid = plan.to_json();
+        let mut at = at % (valid.len() + 1);
+        while !valid.is_char_boundary(at) {
+            at -= 1;
+        }
+        for text in [&shaped, &unicode] {
+            for doc in [text.clone(), format!("{}{text}{}", &valid[..at], &valid[at..])] {
+                if let Ok(parsed) = FaultPlan::from_json(&doc) {
+                    let _ = parsed.compile();
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn deeply_nested_fault_file_is_an_error() {
+    for open in ["[", "{\"faults\":"] {
+        assert!(FaultPlan::from_json(&open.repeat(1_000_000)).is_err());
+    }
+}

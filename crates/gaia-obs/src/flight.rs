@@ -1,8 +1,8 @@
 //! Always-on flight recorder: a fixed-capacity ring of the last N
 //! events, with wall-clock capture timestamps, dumpable to JSONL.
 //!
-//! Full tracing ([`crate::sink::JsonlSink`]) costs a write per event and
-//! grows without bound; the flight recorder is the post-mortem
+//! Full tracing ([`crate::sink::JsonlSink`]) serializes and writes
+//! every event and grows without bound; the flight recorder is the post-mortem
 //! alternative: it keeps only the most recent [`FlightRecorder::capacity`]
 //! events as compact plain-data [`FlightFrame`]s and is cheap enough to
 //! leave on in production. The daemon dumps it on demand (the `flight`

@@ -65,11 +65,17 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace reads nests at most three levels; the bound keeps the
+/// recursive descent from overflowing the stack on hostile input such
+/// as a request line of a million `[`.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -83,12 +89,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// `depth` counts the arrays and objects enclosing this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -178,13 +189,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 out.push(b as char);
                 *pos += 1;
             }
-            Some(_) => {
-                // Multi-byte UTF-8: copy the whole scalar value.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty by construction");
+            Some(&lead) => {
+                // Multi-byte UTF-8: copy the whole scalar value. The
+                // lead byte gives its width, so each character costs
+                // O(1), not a check of the rest of the input.
+                let width = (lead.leading_ones() as usize).clamp(2, 4);
+                let c = bytes
+                    .get(*pos..*pos + width)
+                    .and_then(|b| std::str::from_utf8(b).ok())
+                    .and_then(|s| s.chars().next())
+                    .ok_or_else(|| "invalid UTF-8 in string".to_string())?;
                 out.push(c);
-                *pos += c.len_utf8();
+                *pos += width;
             }
         }
     }
@@ -203,7 +219,7 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     Ok(v)
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut fields = Vec::new();
@@ -223,7 +239,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -237,7 +253,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -247,7 +263,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -291,6 +307,24 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = parse(r#""a\"b\\c\ndé😀""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndé😀"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        // 4 MB of two-, three- and four-byte characters: a per-character
+        // check of the rest of the input would take minutes.
+        let text = "é€😀".repeat(450_000);
+        let value = parse(&format!("\"{text}\"")).unwrap();
+        assert_eq!(value.as_str(), Some(text.as_str()));
     }
 
     #[test]

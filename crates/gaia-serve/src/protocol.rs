@@ -503,6 +503,91 @@ mod tests {
         }
     }
 
+    /// Fragments random request text is built from: JSON structure,
+    /// escapes, numbers at and past the edges of `u64`, every verb and
+    /// field name, control bytes and multi-byte text.
+    const FRAGMENTS: [&str; 40] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "\\u",
+        "d83d",
+        "\\ud800",
+        "0",
+        "-1",
+        "18446744073709551616",
+        "1e999",
+        "1.5",
+        "-0",
+        "true",
+        "null",
+        " ",
+        "\u{0}",
+        "\u{7f}",
+        "\u{e9}",
+        "\u{1f600}",
+        "\"op\"",
+        "\"submit\"",
+        "\"query\"",
+        "\"cancel\"",
+        "\"stats\"",
+        "\"drain\"",
+        "\"metrics\"",
+        "\"tenant\"",
+        "\"at\"",
+        "\"len\"",
+        "\"cpus\"",
+        "\"job\"",
+        "\"acme\"",
+        "42",
+        "\n",
+        "\"\\u0000\"",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(120_000))]
+
+        /// A fixed-seed corpus of JSON-shaped text, random Unicode, and
+        /// valid request lines with either spliced in, decodes to a
+        /// request or an error and never panics.
+        fn random_request_text_never_panics(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..40),
+            scalars in proptest::collection::vec(0u32..0x11_0000, 0..24),
+            valid in 0usize..4,
+            at in 0usize..1 << 20,
+        ) {
+            let shaped: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            let unicode: String = scalars.iter().filter_map(|&c| char::from_u32(c)).collect();
+            let line = [
+                r#"{"op":"submit","tenant":"acme","at":120,"len":60,"cpus":2}"#,
+                r#"{"op":"stats","tenant":"blue"}"#,
+                r#"{"op":"cancel","job":7}"#,
+                r#"{"op":"drain"}"#,
+            ][valid];
+            let mut at = at % (line.len() + 1);
+            while !line.is_char_boundary(at) {
+                at -= 1;
+            }
+            for text in [&shaped, &unicode] {
+                let _ = Request::from_json_line(text);
+                let _ = Request::from_json_line(&format!("{}{text}{}", &line[..at], &line[at..]));
+            }
+        }
+    }
+
+    #[test]
+    fn deeply_nested_request_is_an_error() {
+        for open in ["[", "{\"op\":"] {
+            let line = open.repeat(1_000_000);
+            assert!(Request::from_json_line(&line).is_err());
+        }
+    }
+
     #[test]
     fn request_field_order_is_irrelevant() {
         let req =

@@ -142,3 +142,50 @@ fn every_fixture_prefix_fails_and_no_bit_flip_panics() {
         flipped[bit / 8] ^= 1 << (bit % 8);
     }
 }
+
+/// One random-corpus case: random bytes alone (`mode` 0), the fixture
+/// with a random tail (1), random bytes written over the fixture at
+/// `at` (2), or inserted into it at `at` (3).
+fn corpus_case(fixture: &[u8], mode: u8, at: usize, noise: &[u8]) -> Vec<u8> {
+    let at = at % (fixture.len() + 1);
+    match mode {
+        0 => noise.to_vec(),
+        1 => [fixture, noise].concat(),
+        2 => {
+            let mut out = fixture.to_vec();
+            let end = (at + noise.len()).min(out.len());
+            out[at..end].copy_from_slice(&noise[..end - at]);
+            out
+        }
+        _ => [&fixture[..at], noise, &fixture[at..]].concat(),
+    }
+}
+
+fn fixture_bytes() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| std::fs::read(FIXTURE).expect("fixture present"))
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24_000))]
+
+    /// A fixed-seed random corpus (random bytes, and the fixture with a
+    /// random tail, overwrite or insertion) never panics the decoder.
+    /// Random bytes and a fixture with trailing bytes are always
+    /// rejected.
+    fn random_bytes_and_fixture_splices_never_panic(
+        mode in 0u8..4,
+        at in 0usize..1 << 20,
+        noise in proptest::collection::vec(0u8..=255, 1..48),
+    ) {
+        let (config, carbon) = (config(), carbon());
+        let forecaster = PerfectForecaster::new(&carbon);
+        let bytes = corpus_case(fixture_bytes(), mode, at, &noise);
+        let mut sink = NullSink;
+        let restored =
+            gaia_serve::restore(&config, &carbon, &forecaster, &mut sink, None, None, &bytes);
+        if mode < 2 {
+            assert!(restored.is_err(), "mode {mode} case restored");
+        }
+    }
+}

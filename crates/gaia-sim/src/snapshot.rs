@@ -44,6 +44,7 @@
 //! snapshotted at all.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::time::Duration;
 
 use gaia_carbon::{CarbonForecaster, CarbonTrace};
 use gaia_obs::Sink;
@@ -713,6 +714,8 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             fallback: None,
             sink,
             profiler: None,
+            plan_time: Duration::ZERO,
+            plan_calls: 0,
             jobs,
             pool,
             queue,

@@ -748,3 +748,46 @@ fn deterministic_across_runs() {
         .report;
     assert_eq!(a, b);
 }
+
+/// Planning is timed into the engine and reported once per event-loop
+/// call, yet the phase table reads as if every plan had its own timer:
+/// one `plan` call per job, ahead of `event_loop`, for the batch runner
+/// and for an online engine advanced in several steps.
+#[test]
+fn profiler_plan_row_counts_one_call_per_job() {
+    use gaia_carbon::PerfectForecaster;
+    use gaia_obs::{NullSink, Profiler};
+    use gaia_sim::OnlineEngine;
+
+    let carbon = flat_carbon(48);
+    let jobs: Vec<Job> = (0..37).map(|i| job(i, i * 20, 30, 1)).collect();
+    let names = |prof: &Profiler| -> Vec<(&'static str, u64)> {
+        prof.snapshot()
+            .into_iter()
+            .map(|(name, _, calls)| (name, calls))
+            .collect()
+    };
+
+    let prof = Profiler::new();
+    Simulation::new(ClusterConfig::default().with_reserved(2), &carbon)
+        .with_profiler(&prof)
+        .runner(&WorkloadTrace::from_jobs(jobs.clone()), &mut RunNow)
+        .execute()
+        .expect("valid decisions");
+    assert_eq!(names(&prof)[..2], [("plan", 37), ("event_loop", 1)]);
+
+    let prof = Profiler::new();
+    let config = ClusterConfig::default().with_reserved(2);
+    let forecaster = PerfectForecaster::new(&carbon);
+    let mut sink = NullSink;
+    let mut engine =
+        OnlineEngine::new(&config, &carbon, &forecaster, &mut sink).with_profiler(&prof);
+    for job in jobs {
+        engine.submit(job).expect("valid submission");
+    }
+    engine
+        .advance_to(SimTime::from_minutes(300), &mut RunNow)
+        .expect("valid decisions");
+    engine.run_until_idle(&mut RunNow).expect("valid decisions");
+    assert_eq!(names(&prof), [("plan", 37), ("event_loop", 2)]);
+}

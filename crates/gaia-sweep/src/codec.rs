@@ -454,6 +454,25 @@ pub(crate) fn read_metrics_into(r: &mut Reader<'_>, target: &MetricsRegistry) ->
     Ok(())
 }
 
+/// One random-corpus case for the decoder tests: random bytes alone
+/// (`mode` 0), the fixture with a random tail (1), random bytes written
+/// over the fixture at `at` (2), or inserted into it at `at` (3).
+#[cfg(test)]
+pub(crate) fn corpus_case(fixture: &[u8], mode: u8, at: usize, noise: &[u8]) -> Vec<u8> {
+    let at = at % (fixture.len() + 1);
+    match mode {
+        0 => noise.to_vec(),
+        1 => [fixture, noise].concat(),
+        2 => {
+            let mut out = fixture.to_vec();
+            let end = (at + noise.len()).min(out.len());
+            out[at..end].copy_from_slice(&noise[..end - at]);
+            out
+        }
+        _ => [&fixture[..at], noise, &fixture[at..]].concat(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -446,6 +446,29 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(100_000))]
+
+        /// A fixed-seed random corpus (random bytes, and the fixture
+        /// with a random tail, overwrite or insertion) never panics the
+        /// decoder. Random bytes and a fixture with trailing bytes are
+        /// always rejected.
+        fn random_bytes_and_fixture_splices_never_panic(
+            mode in 0u8..4,
+            at in 0usize..1 << 20,
+            noise in proptest::collection::vec(0u8..=255, 1..48),
+        ) {
+            static FIXTURE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+            let fixture = FIXTURE.get_or_init(|| fs::read(ENTRY_FIXTURE).expect("fixture present"));
+            let sc = scenario();
+            let fp = cell_fingerprint(&sc, None, 3);
+            let decoded = decode_entry(&codec::corpus_case(fixture, mode, at, &noise), &sc, fp);
+            if mode < 2 {
+                assert!(decoded.is_err(), "mode {mode} case decoded");
+            }
+        }
+    }
+
     /// Every existing cache directory is keyed by these values: any
     /// drift in the scenario encoding silently invalidates them all.
     #[test]

@@ -635,6 +635,27 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(100_000))]
+
+        /// A fixed-seed random corpus (random bytes, and the fixture
+        /// with a random tail, overwrite or insertion) never panics the
+        /// decoder. Random bytes and a fixture with trailing bytes are
+        /// always rejected.
+        fn random_bytes_and_fixture_splices_never_panic(
+            mode in 0u8..4,
+            at in 0usize..1 << 20,
+            noise in proptest::collection::vec(0u8..=255, 1..48),
+        ) {
+            static FIXTURE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+            let fixture = FIXTURE.get_or_init(|| std::fs::read(SHARD_FIXTURE).expect("fixture present"));
+            let decoded = decode_slice(&codec::corpus_case(fixture, mode, at, &noise));
+            if mode < 2 {
+                assert!(decoded.is_err(), "mode {mode} case decoded");
+            }
+        }
+    }
+
     #[test]
     fn non_finite_wall_time_is_a_format_error() {
         let run = fixture_run();
