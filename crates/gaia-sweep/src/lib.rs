@@ -548,6 +548,25 @@ fn is_timeout_error(error: &str) -> bool {
     error.starts_with(TIMEOUT_ERROR_PREFIX) && error.ends_with(TIMEOUT_ERROR_SUFFIX)
 }
 
+/// Pairs a traced attempt's outcome with its trace bytes. `Vec<u8>`
+/// writes cannot fail, but the sink's writer thread can (it may not
+/// spawn, or may panic); the attempt then fails, so an incomplete trace
+/// is neither written nor cached.
+fn with_trace<W: std::io::Write + Send + 'static>(
+    outcome: CellOutcome,
+    sink: JsonlSink<W>,
+) -> (CellOutcome, Option<W>) {
+    match sink.finish() {
+        Ok(bytes) => (outcome, Some(bytes)),
+        Err(err) => (
+            CellOutcome::Failed {
+                error: format!("cell trace was not collected: {err}"),
+            },
+            None,
+        ),
+    }
+}
+
 /// Runs one attempt of a cell under a wall-clock budget, on a detached
 /// thread.
 ///
@@ -590,8 +609,7 @@ fn run_attempt_timed(
                     None,
                     None,
                 );
-                // Vec<u8> writes are infallible; finish only flushes.
-                (outcome, Some(sink.finish().unwrap_or_default()))
+                with_trace(outcome, sink)
             } else {
                 let outcome = simulate_cell(
                     &scenario,
@@ -985,8 +1003,7 @@ fn run_grid_engine(
                         cell_metrics,
                         profiler,
                     );
-                    // Vec<u8> writes are infallible; finish only flushes.
-                    (outcome, Some(sink.finish().unwrap_or_default()))
+                    with_trace(outcome, sink)
                 } else {
                     let outcome = run_cell_faulted(
                         scenario,
@@ -1231,6 +1248,38 @@ mod tests {
             sweep, direct,
             "sweep path reproduces the direct runner path"
         );
+    }
+
+    #[test]
+    fn a_trace_that_was_not_collected_fails_the_attempt() {
+        struct Exploding;
+        impl std::io::Write for Exploding {
+            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+                panic!("writer exploded")
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let scenario = SweepGrid::week(9).scenarios()[0];
+        let cache = TraceCache::new();
+        let mut sink = JsonlSink::new(Vec::new());
+        let outcome = run_cell_faulted(&scenario, &cache, false, None, &mut sink, None, None);
+        let (kept, bytes) = with_trace(outcome, sink);
+        assert!(matches!(kept, CellOutcome::Completed { .. }));
+        assert!(!bytes.expect("trace kept").is_empty());
+
+        let mut sink = JsonlSink::new(Exploding);
+        let outcome = run_cell_faulted(&scenario, &cache, false, None, &mut sink, None, None);
+        assert!(matches!(outcome, CellOutcome::Completed { .. }));
+        let (failed, bytes) = with_trace(outcome, sink);
+        assert!(bytes.is_none());
+        match failed {
+            CellOutcome::Failed { error } => {
+                assert!(error.contains("writer exploded"), "{error}");
+            }
+            other => panic!("expected a failed attempt, got {other:?}"),
+        }
     }
 
     #[test]
